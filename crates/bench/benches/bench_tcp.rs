@@ -1,6 +1,8 @@
 //! Criterion: host CPU cost of a fixed simulated transfer — monolithic vs
 //! sublayered vs shim-translated (E9: "sublayered TCP performance will be
-//! poor"? Measure the crossings' real cost).
+//! poor"? Measure the crossings' real cost). `run_transfer` mutes the
+//! entanglement access log, so this times the stacks, not its string
+//! allocations.
 
 use bench::{run_transfer, standard_link, StackKind};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};

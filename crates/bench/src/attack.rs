@@ -28,12 +28,14 @@ use netsim::{
 };
 use slmetrics::AttackCounters;
 use sublayer_core::wire::{CmFlags, CmHeader, DmHeader, OsrHeader, Packet, RdHeader};
-use sublayer_core::{CmState, KeepaliveConfig, SlConfig, SlTcpStack};
+use sublayer_core::{CmState, SlConfig, SlTcpStack};
 use tcp_mono::pcb::TcpState;
-use tcp_mono::stack::{Keepalive, TcpStack};
+use tcp_mono::stack::TcpStack;
 use tcp_mono::wire::{Endpoint, Segment, ACK, RST, SYN};
 
-use crate::{A, B};
+use crate::campaign::{grid, Campaign};
+use crate::chaos::{keepalive_mono, keepalive_sub};
+use crate::{json, A, B};
 
 /// Wall-clock (simulated) patience before declaring a run hung.
 const PATIENCE: Dur = Dur(600_000_000_000);
@@ -436,22 +438,6 @@ fn judge(profile: AttackProfile, mut out: AttackOutcome, got: &[u8], payload: &[
 // Runners
 // ---------------------------------------------------------------------------
 
-fn keepalive_mono() -> Keepalive {
-    Keepalive {
-        idle: Dur::from_secs(10),
-        interval: Dur::from_secs(2),
-        max_probes: 5,
-    }
-}
-
-fn keepalive_sub() -> KeepaliveConfig {
-    KeepaliveConfig {
-        idle: Dur::from_secs(10),
-        interval: Dur::from_secs(2),
-        max_probes: 5,
-    }
-}
-
 fn link() -> LinkParams {
     LinkParams::delay_only(Dur::from_millis(5))
 }
@@ -707,94 +693,98 @@ fn run_sub(profile: AttackProfile, seed: u64, payload: &[u8]) -> AttackOutcome {
 }
 
 // ---------------------------------------------------------------------------
-// JSON + sweep
+// Sweep
 // ---------------------------------------------------------------------------
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_err(e: Option<TransportError>) -> String {
-    match e {
-        None => "null".into(),
-        Some(e) => json_str(&format!("{e:?}")),
+/// The standard sweep's profiles and seeds: all nine profiles x three
+/// seeds, or a 3-profile x 1-seed subset for `--smoke`.
+fn matrix(smoke: bool) -> (Vec<AttackProfile>, Vec<u64>) {
+    if smoke {
+        (
+            vec![AttackProfile::InWindowRst, AttackProfile::OracleRst, AttackProfile::SynFlood],
+            vec![1],
+        )
+    } else {
+        (AttackProfile::all().to_vec(), vec![1, 2, 3])
     }
 }
 
-/// Deterministic, hand-rolled JSON for one outcome (stable field order,
-/// integers only — byte-identical for identical seeds).
-pub fn outcome_json(o: &AttackOutcome) -> String {
-    let viol: Vec<String> = o.violations.iter().map(|v| json_str(v)).collect();
-    let c = &o.counters;
-    format!(
-        "{{\"profile\":{},\"stack\":{},\"seed\":{},\"payload\":{},\"delivered\":{},\
-         \"complete\":{},\"client_error\":{},\"server_error\":{},\"sim_ms\":{},\
-         \"wire_frames\":{},\"max_half_open\":{},\"max_buffered\":{},\
-         \"forged_segments\":{},\"challenge_acks\":{},\"syn_cookies_sent\":{},\
-         \"syn_cookies_validated\":{},\"half_open_evictions\":{},\
-         \"bad_frames_rejected\":{},\"overflow_drops\":{},\"invalid_seq_drops\":{},\"violations\":[{}]}}",
-        json_str(o.profile),
-        json_str(o.stack),
-        o.seed,
-        o.payload,
-        o.delivered,
-        o.complete,
-        json_err(o.client_error),
-        json_err(o.server_error),
-        o.sim_ms,
-        o.wire_frames,
-        o.max_half_open,
-        o.max_buffered,
-        c.forged_segments,
-        c.challenge_acks,
-        c.syn_cookies_sent,
-        c.syn_cookies_validated,
-        c.half_open_evictions,
-        c.bad_frames_rejected,
-        c.overflow_drops,
-        c.invalid_seq_drops,
-        viol.join(",")
-    )
-}
+/// E14: the standard sweep (`exp attack`).
+pub struct Attack;
 
-/// The whole sweep as one JSON document.
-pub fn summary_json(outs: &[AttackOutcome]) -> String {
-    let rows: Vec<String> = outs.iter().map(outcome_json).collect();
-    let violations: usize = outs.iter().map(|o| o.violations.len()).sum();
-    format!(
-        "{{\"campaigns\":[\n  {}\n],\"total\":{},\"violations\":{}}}",
-        rows.join(",\n  "),
-        outs.len(),
-        violations
-    )
-}
+impl Campaign for Attack {
+    type Cell = AttackOutcome;
+    type Sweep = Vec<AttackOutcome>;
+    const NAME: &'static str = "attack";
 
-/// Run `profiles x stacks x seeds` and return every outcome in a fixed
-/// order (profile-major, then stack, then seed).
-pub fn run_sweep(
-    profiles: &[AttackProfile],
-    stacks: &[AttackStack],
-    seeds: &[u64],
-) -> Vec<AttackOutcome> {
-    let mut outs = Vec::new();
-    for &p in profiles {
-        for &s in stacks {
-            for &seed in seeds {
-                outs.push(run_campaign(p, s, seed));
-            }
-        }
+    fn title(&self, smoke: bool) -> String {
+        let (profiles, seeds) = matrix(smoke);
+        let names: Vec<&str> = profiles.iter().map(|p| p.name()).collect();
+        format!(
+            "# E14 — adversarial robustness: {} runs\n\n\
+             Profiles: {}. Seeds: {seeds:?}. Both stacks behind the same attacker.",
+            profiles.len() * AttackStack::all().len() * seeds.len(),
+            names.join(", ")
+        )
     }
-    outs
+
+    fn sweep(&self, smoke: bool) -> Vec<AttackOutcome> {
+        let (profiles, seeds) = matrix(smoke);
+        grid(&profiles, &AttackStack::all(), &seeds, run_campaign)
+    }
+
+    fn violations<'a>(&self, o: &'a AttackOutcome) -> &'a [String] {
+        &o.violations
+    }
+
+    fn row_json(&self, o: &AttackOutcome) -> String {
+        let c = &o.counters;
+        json::Object::default()
+            .str("profile", o.profile)
+            .str("stack", o.stack)
+            .field("seed", o.seed)
+            .field("payload", o.payload)
+            .field("delivered", o.delivered)
+            .field("complete", o.complete)
+            .field("client_error", json::err(o.client_error))
+            .field("server_error", json::err(o.server_error))
+            .field("sim_ms", o.sim_ms)
+            .field("wire_frames", o.wire_frames)
+            .field("max_half_open", o.max_half_open)
+            .field("max_buffered", o.max_buffered)
+            .field("forged_segments", c.forged_segments)
+            .field("challenge_acks", c.challenge_acks)
+            .field("syn_cookies_sent", c.syn_cookies_sent)
+            .field("syn_cookies_validated", c.syn_cookies_validated)
+            .field("half_open_evictions", c.half_open_evictions)
+            .field("bad_frames_rejected", c.bad_frames_rejected)
+            .field("overflow_drops", c.overflow_drops)
+            .field("invalid_seq_drops", c.invalid_seq_drops)
+            .field("violations", json::str_list(&o.violations))
+            .end()
+    }
+
+    fn headers(&self) -> &'static [&'static str] {
+        &[
+            "profile", "stack", "seed", "delivered", "client err", "forged", "challenges",
+            "cookies s/v", "half-open", "bad frames", "verdict",
+        ]
+    }
+
+    fn row(&self, o: &AttackOutcome) -> Vec<String> {
+        let c = &o.counters;
+        vec![
+            o.profile.to_string(),
+            o.stack.to_string(),
+            o.seed.to_string(),
+            format!("{}/{}", o.delivered, o.payload),
+            o.client_error.map_or("-".into(), |e| format!("{e:?}")),
+            c.forged_segments.to_string(),
+            c.challenge_acks.to_string(),
+            format!("{}/{}", c.syn_cookies_sent, c.syn_cookies_validated),
+            o.max_half_open.to_string(),
+            c.bad_frames_rejected.to_string(),
+            if o.ok() { "ok".into() } else { o.violations.join("; ") },
+        ]
+    }
 }

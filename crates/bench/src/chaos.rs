@@ -28,7 +28,8 @@ use tcp_mono::stack::{Keepalive, TcpStack};
 use tcp_mono::pcb::TcpState;
 use tcp_mono::wire::Endpoint;
 
-use crate::{A, B};
+use crate::campaign::{grid, Campaign};
+use crate::{json, A, B};
 
 /// How long (simulated) a campaign may run before we declare a hang.
 const PATIENCE: Dur = Dur(600_000_000_000);
@@ -175,7 +176,9 @@ impl CampaignOutcome {
     }
 }
 
-fn keepalive_mono() -> Keepalive {
+/// The campaigns' keepalive (chaos, attack and topology clients):
+/// 10 s idle, then a probe every 2 s, abort after 5 unanswered.
+pub(crate) fn keepalive_mono() -> Keepalive {
     Keepalive {
         idle: Dur::from_secs(10),
         interval: Dur::from_secs(2),
@@ -183,7 +186,8 @@ fn keepalive_mono() -> Keepalive {
     }
 }
 
-fn keepalive_sub() -> KeepaliveConfig {
+/// [`keepalive_mono`] for the sublayered stack.
+pub(crate) fn keepalive_sub() -> KeepaliveConfig {
     KeepaliveConfig {
         idle: Dur::from_secs(10),
         interval: Dur::from_secs(2),
@@ -453,64 +457,6 @@ fn run_sub(
     out
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_err(e: Option<TransportError>) -> String {
-    match e {
-        None => "null".into(),
-        Some(e) => json_str(&format!("{e:?}")),
-    }
-}
-
-/// Deterministic, hand-rolled JSON for one outcome (stable field order,
-/// integers only — byte-identical for identical seeds).
-pub fn outcome_json(o: &CampaignOutcome) -> String {
-    let viol: Vec<String> = o.violations.iter().map(|v| json_str(v)).collect();
-    format!(
-        "{{\"profile\":{},\"stack\":{},\"seed\":{},\"payload\":{},\"delivered\":{},\
-         \"complete\":{},\"client_error\":{},\"server_error\":{},\"sim_ms\":{},\
-         \"wire_frames\":{},\"partition_drops\":{},\"violations\":[{}]}}",
-        json_str(o.profile),
-        json_str(o.stack),
-        o.seed,
-        o.payload,
-        o.delivered,
-        o.complete,
-        json_err(o.client_error),
-        json_err(o.server_error),
-        o.sim_ms,
-        o.wire_frames,
-        o.partition_drops,
-        viol.join(",")
-    )
-}
-
-/// The whole sweep as one JSON document.
-pub fn summary_json(outs: &[CampaignOutcome]) -> String {
-    let rows: Vec<String> = outs.iter().map(outcome_json).collect();
-    let violations: usize = outs.iter().map(|o| o.violations.len()).sum();
-    format!(
-        "{{\"campaigns\":[\n  {}\n],\"total\":{},\"violations\":{}}}",
-        rows.join(",\n  "),
-        outs.len(),
-        violations
-    )
-}
-
 /// Run `profiles x stacks x seeds` and return every outcome in a fixed
 /// order (profile-major, then stack, then seed).
 pub fn run_sweep(
@@ -518,13 +464,82 @@ pub fn run_sweep(
     stacks: &[ChaosStack],
     seeds: &[u64],
 ) -> Vec<CampaignOutcome> {
-    let mut outs = Vec::new();
-    for &p in profiles {
-        for &s in stacks {
-            for &seed in seeds {
-                outs.push(run_campaign(p, s, seed));
-            }
-        }
+    grid(profiles, stacks, seeds, run_campaign)
+}
+
+/// The standard sweep's profiles and seeds: all five profiles x five
+/// seeds, or a 2-profile x 1-seed subset for `--smoke`.
+fn matrix(smoke: bool) -> (Vec<ChaosProfile>, Vec<u64>) {
+    if smoke {
+        (vec![ChaosProfile::Blackout, ChaosProfile::MixedMayhem], vec![1])
+    } else {
+        (ChaosProfile::all().to_vec(), vec![1, 2, 3, 4, 5])
     }
-    outs
+}
+
+/// E13: the standard sweep (`exp chaos`).
+pub struct Chaos;
+
+impl Campaign for Chaos {
+    type Cell = CampaignOutcome;
+    type Sweep = Vec<CampaignOutcome>;
+    const NAME: &'static str = "chaos";
+
+    fn title(&self, smoke: bool) -> String {
+        let (profiles, seeds) = matrix(smoke);
+        let names: Vec<&str> = profiles.iter().map(|p| p.name()).collect();
+        format!(
+            "# E-chaos — fault campaigns: {} runs\n\n\
+             Profiles: {}. Seeds: {seeds:?}. Both stacks, keepalive 10s/2s/x5.",
+            profiles.len() * ChaosStack::all().len() * seeds.len(),
+            names.join(", ")
+        )
+    }
+
+    fn sweep(&self, smoke: bool) -> Vec<CampaignOutcome> {
+        let (profiles, seeds) = matrix(smoke);
+        run_sweep(&profiles, &ChaosStack::all(), &seeds)
+    }
+
+    fn violations<'a>(&self, o: &'a CampaignOutcome) -> &'a [String] {
+        &o.violations
+    }
+
+    fn row_json(&self, o: &CampaignOutcome) -> String {
+        json::Object::default()
+            .str("profile", o.profile)
+            .str("stack", o.stack)
+            .field("seed", o.seed)
+            .field("payload", o.payload)
+            .field("delivered", o.delivered)
+            .field("complete", o.complete)
+            .field("client_error", json::err(o.client_error))
+            .field("server_error", json::err(o.server_error))
+            .field("sim_ms", o.sim_ms)
+            .field("wire_frames", o.wire_frames)
+            .field("partition_drops", o.partition_drops)
+            .field("violations", json::str_list(&o.violations))
+            .end()
+    }
+
+    fn headers(&self) -> &'static [&'static str] {
+        &[
+            "profile", "stack", "seed", "delivered", "client err", "server err", "sim s",
+            "frames", "verdict",
+        ]
+    }
+
+    fn row(&self, o: &CampaignOutcome) -> Vec<String> {
+        vec![
+            o.profile.to_string(),
+            o.stack.to_string(),
+            o.seed.to_string(),
+            format!("{}/{}", o.delivered, o.payload),
+            o.client_error.map_or("-".into(), |e| format!("{e:?}")),
+            o.server_error.map_or("-".into(), |e| format!("{e:?}")),
+            format!("{:.1}", o.sim_ms as f64 / 1000.0),
+            o.wire_frames.to_string(),
+            if o.ok() { "ok".into() } else { o.violations.join("; ") },
+        ]
+    }
 }

@@ -1,4 +1,4 @@
-//! E17 — differential conformance sweep (`exp_conform`).
+//! E17 — differential conformance sweep (`exp conform`).
 //!
 //! Runs the whole `slconform` corpus against **both** stacks across
 //! multiple seeds, demanding zero unexplained divergences; reports
@@ -11,6 +11,9 @@ use std::collections::BTreeMap;
 
 use slconform::driver::{Kind, Mutation};
 use slconform::{allowlist, check_scenario, corpus, shrink};
+
+use crate::campaign::Campaign;
+use crate::json;
 
 /// One `scenario × seed` differential run (each run drives both stacks).
 pub struct ConformOut {
@@ -143,82 +146,153 @@ pub fn canaries() -> Vec<CanaryOut> {
         .collect()
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+/// A whole E17 sweep: the differential runs and the mutation canaries.
+pub struct ConformSweep {
+    pub runs: Vec<ConformOut>,
+    pub canaries: Vec<CanaryOut>,
 }
 
-/// Deterministic JSON summary (stable key order, no timestamps) — the CI
-/// determinism job runs the binary twice and diffs this byte-for-byte.
-pub fn summary_json(outs: &[ConformOut], canaries: &[CanaryOut]) -> String {
-    let scenarios: std::collections::BTreeSet<&str> =
-        outs.iter().map(|o| o.scenario.as_str()).collect();
-    let unexplained: Vec<String> = outs
-        .iter()
-        .flat_map(|o| {
-            o.unexplained
-                .iter()
-                .map(move |d| format!("[{} seed={}] {d}", o.scenario, o.seed))
-        })
-        .collect();
-    let mut s = String::from("{\n");
-    s.push_str("  \"experiment\": \"E17-conformance\",\n");
-    s.push_str(&format!("  \"scenarios\": {},\n", scenarios.len()));
-    s.push_str(&format!("  \"runs\": {},\n", outs.len()));
-    s.push_str(&format!(
-        "  \"seeds\": [{}],\n",
-        outs.iter()
-            .map(|o| o.seed)
-            .collect::<std::collections::BTreeSet<u64>>()
+impl AsRef<[ConformOut]> for ConformSweep {
+    fn as_ref(&self) -> &[ConformOut] {
+        &self.runs
+    }
+}
+
+/// E17: the corpus sweep plus the canaries (`exp conform`).
+pub struct Conform;
+
+impl Campaign for Conform {
+    type Cell = ConformOut;
+    type Sweep = ConformSweep;
+    const NAME: &'static str = "conform";
+
+    fn title(&self, _smoke: bool) -> String {
+        "# E17: differential conformance (sub vs mono vs oracle)".into()
+    }
+
+    fn sweep(&self, smoke: bool) -> ConformSweep {
+        ConformSweep { runs: sweep(smoke), canaries: canaries() }
+    }
+
+    /// A quiet detector is indistinguishable from a broken one: every
+    /// canary must be caught and shrunk.
+    fn cross_checks(&self, s: &ConformSweep) -> Vec<String> {
+        s.canaries
             .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    s.push_str(&format!("  \"unexplained\": {},\n", unexplained.len()));
-    s.push_str("  \"unexplained_details\": [");
-    s.push_str(
-        &unexplained.iter().map(|d| json_str(d)).collect::<Vec<_>>().join(", "),
-    );
-    s.push_str("],\n");
-    s.push_str("  \"allowlist_hits\": {");
-    s.push_str(
-        &allow_hits(outs)
-            .iter()
-            .map(|(id, n)| format!("{}: {n}", json_str(id)))
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    s.push_str("},\n");
-    s.push_str("  \"canaries\": [\n");
-    let rows: Vec<String> = canaries
-        .iter()
-        .map(|c| {
-            format!(
-                "    {{\"name\": {}, \"caught\": {}, \"code\": {}, \
-                 \"shrunk_events\": {}, \"ok\": {}}}",
-                json_str(c.name),
+            .filter(|c| !c.ok)
+            .map(|c| {
+                format!("canary {} failed: caught={} shrunk to {} events", c.name, c.caught, c.to_events)
+            })
+            .collect()
+    }
+
+    fn violations<'a>(&self, o: &'a ConformOut) -> &'a [String] {
+        &o.unexplained
+    }
+
+    fn row_json(&self, _o: &ConformOut) -> String {
+        unreachable!("E17 publishes per-scenario aggregates only, see `summary`")
+    }
+
+    fn headers(&self) -> &'static [&'static str] {
+        &["scenario", "seed", "frames s/m", "bytes s/m", "allow", "diverge"]
+    }
+
+    fn row(&self, o: &ConformOut) -> Vec<String> {
+        vec![
+            o.scenario.clone(),
+            o.seed.to_string(),
+            format!("{}/{}", o.frames_sub, o.frames_mono),
+            format!("{}/{}", o.delivered_sub, o.delivered_mono),
+            o.allowlisted.first().map_or_else(|| "-".into(), |(id, _)| id.to_string()),
+            o.unexplained.len().to_string(),
+        ]
+    }
+
+    fn notes(&self, s: &ConformSweep) -> String {
+        let mut n = String::from("## allowlist hit counts\n\n");
+        for (id, hits) in allow_hits(&s.runs) {
+            n.push_str(&format!("- {id}: {hits}\n"));
+        }
+        n.push_str("\n## mutation canaries\n");
+        for c in &s.canaries {
+            n.push_str(&format!(
+                "\n- {} [{} on {:?}]: caught={} code={} shrunk {} -> {} events{}",
+                c.name,
+                c.scenario,
+                c.kind,
                 c.caught,
-                json_str(&c.code),
+                if c.code.is_empty() { "-" } else { &c.code },
+                c.from_events,
                 c.to_events,
-                c.ok
-            )
-        })
-        .collect();
-    s.push_str(&rows.join(",\n"));
-    s.push_str("\n  ]\n}");
-    s
+                if c.ok { "" } else { "  ** FAILED **" }
+            ));
+        }
+        n
+    }
+
+    /// Deterministic JSON summary (stable key order, no timestamps): the
+    /// corpus-level aggregates, allowlist hits and canaries.
+    fn summary(&self, sweep: &ConformSweep, _cross: &[String]) -> String {
+        let (outs, canaries) = (&sweep.runs, &sweep.canaries);
+        let scenarios: std::collections::BTreeSet<&str> =
+            outs.iter().map(|o| o.scenario.as_str()).collect();
+        let unexplained: Vec<String> = outs
+            .iter()
+            .flat_map(|o| {
+                o.unexplained
+                    .iter()
+                    .map(move |d| format!("[{} seed={}] {d}", o.scenario, o.seed))
+            })
+            .collect();
+        let mut s = String::from("{\n");
+        s.push_str("  \"experiment\": \"E17-conformance\",\n");
+        s.push_str(&format!("  \"scenarios\": {},\n", scenarios.len()));
+        s.push_str(&format!("  \"runs\": {},\n", outs.len()));
+        s.push_str(&format!(
+            "  \"seeds\": [{}],\n",
+            outs.iter()
+                .map(|o| o.seed)
+                .collect::<std::collections::BTreeSet<u64>>()
+                .iter()
+                .map(u64::to_string)
+                .collect::<Vec<_>>()
+                .join(", ")
+        ));
+        s.push_str(&format!("  \"unexplained\": {},\n", unexplained.len()));
+        s.push_str("  \"unexplained_details\": [");
+        s.push_str(
+            &unexplained.iter().map(|d| json::str(d)).collect::<Vec<_>>().join(", "),
+        );
+        s.push_str("],\n");
+        s.push_str("  \"allowlist_hits\": {");
+        s.push_str(
+            &allow_hits(outs)
+                .iter()
+                .map(|(id, n)| format!("{}: {n}", json::str(id)))
+                .collect::<Vec<_>>()
+                .join(", "),
+        );
+        s.push_str("},\n");
+        s.push_str("  \"canaries\": [\n");
+        let rows: Vec<String> = canaries
+            .iter()
+            .map(|c| {
+                format!(
+                    "    {{\"name\": {}, \"caught\": {}, \"code\": {}, \
+                     \"shrunk_events\": {}, \"ok\": {}}}",
+                    json::str(c.name),
+                    c.caught,
+                    json::str(&c.code),
+                    c.to_events,
+                    c.ok
+                )
+            })
+            .collect();
+        s.push_str(&rows.join(",\n"));
+        s.push_str("\n  ]\n}");
+        s
+    }
 }
 
 #[cfg(test)]
@@ -249,10 +323,8 @@ mod tests {
 
     #[test]
     fn summary_json_is_deterministic() {
-        let outs = sweep(true);
-        let cans = canaries();
-        let a = summary_json(&outs, &cans);
-        let b = summary_json(&sweep(true), &canaries());
+        let a = Conform.summary(&Conform.sweep(true), &[]);
+        let b = Conform.summary(&Conform.sweep(true), &[]);
         assert_eq!(a, b);
         assert!(a.contains("\"E17-conformance\""));
     }

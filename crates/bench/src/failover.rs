@@ -25,7 +25,6 @@
 //! also re-runs each cell in [`Mode::Inline`] and requires the threaded
 //! outcome to be byte-identical — crash, restart, and all.
 
-use crate::scale::ScaleStack;
 use netsim::{Dur, LinkParams, MultiStackNode, Stack, StackNode, Time, TransportError};
 use slhost::{EchoApp, Host, HostConfig, HostStack, ResourceBudget, ServedHost};
 use slshard::{
@@ -36,6 +35,11 @@ use sublayer_core::{KeepaliveConfig, SlConfig, SlTcpStack};
 use tcp_mono::hash::shard_of;
 use tcp_mono::stack::{Keepalive, TcpStack};
 use tcp_mono::wire::{Endpoint, FourTuple};
+
+use crate::campaign::Campaign;
+use crate::scale::ScaleStack;
+use crate::shard::mode_label;
+use crate::{dur, json};
 
 const SERVER_ADDR: u32 = crate::A;
 const CLIENT_BASE: u32 = 0x0C00_0000;
@@ -58,17 +62,6 @@ const RESTART_HORIZON_NS: u64 = 60_000_000_000;
 /// seconds. Wall-clock stays in milliseconds: a shard that gave up no
 /// longer forces coordinator rounds.
 const NEVER_HORIZON_NS: u64 = 400_000_000_000;
-
-fn dur(ns: u64) -> Dur {
-    Dur::from_nanos(ns)
-}
-
-fn mode_label(m: Mode) -> &'static str {
-    match m {
-        Mode::Threaded => "threaded",
-        Mode::Inline => "inline",
-    }
-}
 
 /// Deterministic per-client request (64..264 B, diverse lengths).
 fn request(i: usize) -> Vec<u8> {
@@ -646,163 +639,157 @@ where
     out
 }
 
-/// The mode-determinism cross-check: a threaded cell and its inline
-/// reference must agree on every field except the mode label — crash,
-/// restart, fault log, and all.
-pub fn mode_cross_checks(outs: &[FailoverOutcome]) -> Vec<String> {
-    let mut v = Vec::new();
-    for t in outs.iter().filter(|o| o.mode == "threaded") {
-        let Some(i) = outs.iter().find(|o| {
-            o.mode == "inline"
-                && o.stack == t.stack
-                && o.policy == t.policy
-                && o.shards == t.shards
-                && o.n == t.n
-                && o.seed == t.seed
-        }) else {
-            continue;
-        };
-        let strip = |o: &FailoverOutcome| {
-            let mut c = o.clone();
-            c.mode = "";
-            outcome_json(&c)
-        };
-        if strip(t) != strip(i) {
-            v.push(format!(
-                "threaded failover diverged from inline reference at stack={} \
-                 policy={} shards={} n={}:\n  threaded: {}\n  inline:   {}",
-                t.stack,
-                t.policy,
-                t.shards,
-                t.n,
-                outcome_json(t),
-                outcome_json(i)
-            ));
-        }
-    }
-    v
-}
+/// E21: the failover sweep (`exp failover`).
+pub struct Failover;
 
-/// The sweep. Smoke: both stacks × both policies at n=32, shards=4, in
-/// both execution modes (the pairs feed [`mode_cross_checks`]). Full:
-/// both stacks × both policies × shards {2, 4, 8}, threaded, n=200 —
-/// the blast-radius-vs-shard-count table.
-pub fn sweep(smoke: bool) -> Vec<FailoverOutcome> {
-    let stacks = [ScaleStack::Sub, ScaleStack::Mono];
-    let mut outs = Vec::new();
-    if smoke {
-        for stack in stacks {
-            for restart in [true, false] {
-                for mode in [Mode::Threaded, Mode::Inline] {
+impl Campaign for Failover {
+    type Cell = FailoverOutcome;
+    type Sweep = Vec<FailoverOutcome>;
+    const NAME: &'static str = "failover";
+    const CROSS_KEY: Option<&'static str> = Some("mode_cross_checks");
+
+    fn title(&self, _smoke: bool) -> String {
+        "# E21: shard fault domains (slshard failover)".into()
+    }
+
+    /// Smoke: both stacks × both policies at n=32, shards=4, in both
+    /// execution modes (the pairs feed the cross-check). Full: both
+    /// stacks × both policies × shards {2, 4, 8}, threaded, n=200 — the
+    /// blast-radius-vs-shard-count table.
+    fn sweep(&self, smoke: bool) -> Vec<FailoverOutcome> {
+        let stacks = [ScaleStack::Sub, ScaleStack::Mono];
+        let mut outs = Vec::new();
+        if smoke {
+            for stack in stacks {
+                for restart in [true, false] {
+                    for mode in [Mode::Threaded, Mode::Inline] {
+                        outs.push(run_one(FailoverParams {
+                            stack,
+                            mode,
+                            shards: 4,
+                            n: 32,
+                            seed: 1,
+                            restart,
+                        }));
+                    }
+                }
+            }
+            return outs;
+        }
+        for &shards in &[2usize, 4, 8] {
+            for stack in stacks {
+                for restart in [true, false] {
                     outs.push(run_one(FailoverParams {
                         stack,
-                        mode,
-                        shards: 4,
-                        n: 32,
+                        mode: Mode::Threaded,
+                        shards,
+                        n: 200,
                         seed: 1,
                         restart,
                     }));
                 }
             }
         }
-        return outs;
+        outs
     }
-    for &shards in &[2usize, 4, 8] {
-        for stack in stacks {
-            for restart in [true, false] {
-                outs.push(run_one(FailoverParams {
-                    stack,
-                    mode: Mode::Threaded,
-                    shards,
-                    n: 200,
-                    seed: 1,
-                    restart,
-                }));
+
+    /// The mode-determinism cross-check: a threaded cell and its inline
+    /// reference must agree on every field except the mode label —
+    /// crash, restart, fault log, and all.
+    fn cross_checks(&self, outs: &Vec<FailoverOutcome>) -> Vec<String> {
+        let mut v = Vec::new();
+        for t in outs.iter().filter(|o| o.mode == "threaded") {
+            let Some(i) = outs.iter().find(|o| {
+                o.mode == "inline"
+                    && o.stack == t.stack
+                    && o.policy == t.policy
+                    && o.shards == t.shards
+                    && o.n == t.n
+                    && o.seed == t.seed
+            }) else {
+                continue;
+            };
+            let strip = |o: &FailoverOutcome| {
+                let mut c = o.clone();
+                c.mode = "";
+                self.row_json(&c)
+            };
+            if strip(t) != strip(i) {
+                v.push(format!(
+                    "threaded failover diverged from inline reference at stack={} \
+                     policy={} shards={} n={}:\n  threaded: {}\n  inline:   {}",
+                    t.stack,
+                    t.policy,
+                    t.shards,
+                    t.n,
+                    self.row_json(t),
+                    self.row_json(i)
+                ));
             }
         }
+        v
     }
-    outs
-}
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+    fn violations<'a>(&self, o: &'a FailoverOutcome) -> &'a [String] {
+        &o.violations
     }
-    out.push('"');
-    out
-}
 
-fn json_arr(v: &[u64]) -> String {
-    let items: Vec<String> = v.iter().map(u64::to_string).collect();
-    format!("[{}]", items.join(","))
-}
+    fn row_json(&self, o: &FailoverOutcome) -> String {
+        json::Object::default()
+            .str("stack", o.stack)
+            .str("mode", o.mode)
+            .str("policy", o.policy)
+            .field("shards", o.shards)
+            .field("n", o.n)
+            .field("seed", o.seed)
+            .field("victim_shard", o.victim_shard)
+            .field("crash_round", o.crash_round)
+            .field("crashed_at_round", o.crashed_at_round)
+            .field("restarted_at_round", o.restarted_at_round)
+            .field("recovery_rounds", o.recovery_rounds)
+            .field("victims", o.victims)
+            .field("victims_completed", o.victims_completed)
+            .field("victims_errored", o.victims_errored)
+            .field("healthy", o.healthy)
+            .field("healthy_disrupted", o.healthy_disrupted)
+            .field("completed", o.completed)
+            .field("shard_restarts", o.shard_restarts)
+            .field("failover_aborts", o.failover_aborts)
+            .field("ring_stalls", o.ring_stalls)
+            .field("dead_drops", o.dead_drops)
+            .field("final_health", json::arr(&o.final_health))
+            .field("events", json::str_list(&o.events))
+            .field("mem_peak_worst_shard", o.mem_peak_worst_shard)
+            .field("mem_peak_total", o.mem_peak_total)
+            .field("shard_budget", o.shard_budget)
+            .field("global_budget", o.global_budget)
+            .field("sim_ms", o.sim_ms)
+            .field("violations", json::str_list(&o.violations))
+            .end()
+    }
 
-/// Deterministic, hand-rolled JSON for one outcome (stable field order,
-/// integers only — byte-identical for identical seeds).
-pub fn outcome_json(o: &FailoverOutcome) -> String {
-    let viol: Vec<String> = o.violations.iter().map(|v| json_str(v)).collect();
-    let events: Vec<String> = o.events.iter().map(|e| json_str(e)).collect();
-    format!(
-        "{{\"stack\":{},\"mode\":{},\"policy\":{},\"shards\":{},\"n\":{},\"seed\":{},\
-         \"victim_shard\":{},\"crash_round\":{},\"crashed_at_round\":{},\
-         \"restarted_at_round\":{},\"recovery_rounds\":{},\"victims\":{},\
-         \"victims_completed\":{},\"victims_errored\":{},\"healthy\":{},\
-         \"healthy_disrupted\":{},\"completed\":{},\"shard_restarts\":{},\
-         \"failover_aborts\":{},\"ring_stalls\":{},\"dead_drops\":{},\
-         \"final_health\":{},\"events\":[{}],\"mem_peak_worst_shard\":{},\
-         \"mem_peak_total\":{},\"shard_budget\":{},\"global_budget\":{},\
-         \"sim_ms\":{},\"violations\":[{}]}}",
-        json_str(o.stack),
-        json_str(o.mode),
-        json_str(o.policy),
-        o.shards,
-        o.n,
-        o.seed,
-        o.victim_shard,
-        o.crash_round,
-        o.crashed_at_round,
-        o.restarted_at_round,
-        o.recovery_rounds,
-        o.victims,
-        o.victims_completed,
-        o.victims_errored,
-        o.healthy,
-        o.healthy_disrupted,
-        o.completed,
-        o.shard_restarts,
-        o.failover_aborts,
-        o.ring_stalls,
-        o.dead_drops,
-        json_arr(&o.final_health),
-        events.join(","),
-        o.mem_peak_worst_shard,
-        o.mem_peak_total,
-        o.shard_budget,
-        o.global_budget,
-        o.sim_ms,
-        viol.join(",")
-    )
-}
+    fn headers(&self) -> &'static [&'static str] {
+        &[
+            "stack", "mode", "policy", "shards", "n", "victim", "victims ok", "victims err",
+            "healthy hit", "rec rounds", "restarts", "aborts", "viol",
+        ]
+    }
 
-/// The whole sweep (plus the mode cross-checks) as one JSON document.
-pub fn summary_json(outs: &[FailoverOutcome], cross: &[String]) -> String {
-    let rows: Vec<String> = outs.iter().map(outcome_json).collect();
-    let violations: usize =
-        outs.iter().map(|o| o.violations.len()).sum::<usize>() + cross.len();
-    let cross_rows: Vec<String> = cross.iter().map(|c| json_str(c)).collect();
-    format!(
-        "{{\"runs\":[\n  {}\n],\"mode_cross_checks\":[{}],\"total\":{},\"violations\":{}}}",
-        rows.join(",\n  "),
-        cross_rows.join(","),
-        outs.len(),
-        violations
-    )
+    fn row(&self, o: &FailoverOutcome) -> Vec<String> {
+        vec![
+            o.stack.to_string(),
+            o.mode.to_string(),
+            o.policy.to_string(),
+            o.shards.to_string(),
+            o.n.to_string(),
+            o.victim_shard.to_string(),
+            format!("{}/{}", o.victims_completed, o.victims),
+            o.victims_errored.to_string(),
+            o.healthy_disrupted.to_string(),
+            o.recovery_rounds.to_string(),
+            o.shard_restarts.to_string(),
+            o.failover_aborts.to_string(),
+            o.violations.len().to_string(),
+        ]
+    }
 }

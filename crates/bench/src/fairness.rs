@@ -29,7 +29,9 @@
 //! Deterministic: the same `(controller, stack, seed)` triple produces a
 //! byte-identical JSON row (`BENCH_fairness.json` is committed).
 
-use crate::topology::{attribute, json_str};
+use crate::campaign::{grid, Campaign};
+use crate::json;
+use crate::topology::attribute;
 use netlayer::{box_host_addr, topo_fanin, BoxNet};
 use netsim::{Dur, LinkParams, NodeId, SimNet, StackNode, Time};
 use slconform::driver::{ConformStack, Kind};
@@ -276,60 +278,90 @@ fn run_f<H: FairStack>(cc: &'static str, seed: u64, horizon_secs: u64) -> Fairne
     out
 }
 
-/// Deterministic, hand-rolled JSON for one outcome (stable field order).
-pub fn outcome_json(o: &FairnessOutcome) -> String {
-    let delivered: Vec<String> = o.delivered.iter().map(|d| d.to_string()).collect();
-    let viol: Vec<String> = o.violations.iter().map(|v| json_str(v)).collect();
-    format!(
-        "{{\"cc\":{},\"stack\":{},\"seed\":{},\"flows\":{},\"horizon_secs\":{},\
-         \"offered\":{},\"delivered\":[{}],\"goodput_bps\":{},\"utilization_pct\":{},\
-         \"jain_permille\":{},\"peak_queue_ms\":{},\"dupack_losses\":{},\"rto_resets\":{},\
-         \"fast_recoveries\":{},\"violations\":[{}]}}",
-        json_str(o.cc),
-        json_str(o.stack),
-        o.seed,
-        o.flows,
-        o.horizon_secs,
-        o.offered,
-        delivered.join(","),
-        o.goodput_bps,
-        o.utilization_pct,
-        o.jain_permille,
-        o.peak_queue_ms,
-        o.dupack_losses,
-        o.rto_resets,
-        o.fast_recoveries,
-        viol.join(",")
-    )
-}
-
-/// The whole sweep as one JSON document.
-pub fn summary_json(outs: &[FairnessOutcome]) -> String {
-    let rows: Vec<String> = outs.iter().map(outcome_json).collect();
-    let violations: usize = outs.iter().map(|o| o.violations.len()).sum();
-    format!(
-        "{{\"campaigns\":[\n  {}\n],\"total\":{},\"violations\":{}}}",
-        rows.join(",\n  "),
-        outs.len(),
-        violations
-    )
-}
-
-/// Run `controllers x stacks x seeds` in a fixed order (controller-major).
-pub fn run_sweep(
-    controllers: &[&'static str],
-    kinds: &[Kind],
-    seeds: &[u64],
-) -> Vec<FairnessOutcome> {
-    let mut outs = Vec::new();
-    for &cc in controllers {
-        for &k in kinds {
-            for &seed in seeds {
-                outs.push(run_fairness(cc, k, seed));
-            }
-        }
+/// The standard sweep's controllers and seeds: both controllers x three
+/// seeds, or NewReno x 1 seed for `--smoke`.
+fn matrix(smoke: bool) -> (Vec<&'static str>, Vec<u64>) {
+    if smoke {
+        (vec!["newreno"], vec![1])
+    } else {
+        (CONTROLLERS.to_vec(), vec![1, 2, 3])
     }
-    outs
+}
+
+const KINDS: [Kind; 2] = [Kind::Sub, Kind::Mono];
+
+/// E19: the standard sweep (`exp fairness`).
+pub struct Fairness;
+
+impl Campaign for Fairness {
+    type Cell = FairnessOutcome;
+    type Sweep = Vec<FairnessOutcome>;
+    const NAME: &'static str = "fairness";
+
+    fn title(&self, smoke: bool) -> String {
+        let (controllers, seeds) = matrix(smoke);
+        format!(
+            "# E19 — Congestion survival: {} fairness campaigns\n\n\
+             Controllers: {}. Seeds: {seeds:?}. {FLOWS} greedy flows at {OVERLOAD}x offered load \
+             over the {} Mbps fan-in bottleneck, {HORIZON_SECS} s horizon.",
+            controllers.len() * KINDS.len() * seeds.len(),
+            controllers.join(", "),
+            BOTTLENECK_BPS / 1_000_000,
+        )
+    }
+
+    fn sweep(&self, smoke: bool) -> Vec<FairnessOutcome> {
+        let (controllers, seeds) = matrix(smoke);
+        grid(&controllers, &KINDS, &seeds, run_fairness)
+    }
+
+    fn violations<'a>(&self, o: &'a FairnessOutcome) -> &'a [String] {
+        &o.violations
+    }
+
+    fn row_json(&self, o: &FairnessOutcome) -> String {
+        let delivered: Vec<u64> = o.delivered.iter().map(|&d| d as u64).collect();
+        json::Object::default()
+            .str("cc", o.cc)
+            .str("stack", o.stack)
+            .field("seed", o.seed)
+            .field("flows", o.flows)
+            .field("horizon_secs", o.horizon_secs)
+            .field("offered", o.offered)
+            .field("delivered", json::arr(&delivered))
+            .field("goodput_bps", o.goodput_bps)
+            .field("utilization_pct", o.utilization_pct)
+            .field("jain_permille", o.jain_permille)
+            .field("peak_queue_ms", o.peak_queue_ms)
+            .field("dupack_losses", o.dupack_losses)
+            .field("rto_resets", o.rto_resets)
+            .field("fast_recoveries", o.fast_recoveries)
+            .field("violations", json::str_list(&o.violations))
+            .end()
+    }
+
+    fn headers(&self) -> &'static [&'static str] {
+        &[
+            "cc", "stack", "seed", "delivered", "util", "jain", "peak q ms", "dupack loss",
+            "fast rec", "rto", "verdict",
+        ]
+    }
+
+    fn row(&self, o: &FairnessOutcome) -> Vec<String> {
+        vec![
+            o.cc.to_string(),
+            o.stack.to_string(),
+            o.seed.to_string(),
+            format!("{:?}", o.delivered),
+            format!("{}%", o.utilization_pct),
+            format!("{:.3}", o.jain_permille as f64 / 1000.0),
+            o.peak_queue_ms.to_string(),
+            o.dupack_losses.to_string(),
+            o.fast_recoveries.to_string(),
+            o.rto_resets.to_string(),
+            if o.ok() { "ok".into() } else { o.violations.join("; ") },
+        ]
+    }
 }
 
 #[cfg(test)]
@@ -363,8 +395,8 @@ mod tests {
 
     #[test]
     fn fairness_json_is_deterministic() {
-        let a = outcome_json(&run_fairness_with("newreno", Kind::Mono, 2, 6));
-        let b = outcome_json(&run_fairness_with("newreno", Kind::Mono, 2, 6));
+        let a = Fairness.row_json(&run_fairness_with("newreno", Kind::Mono, 2, 6));
+        let b = Fairness.row_json(&run_fairness_with("newreno", Kind::Mono, 2, 6));
         assert_eq!(a, b);
     }
 }

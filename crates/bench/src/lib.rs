@@ -1,20 +1,23 @@
-//! Shared harness for the experiment binaries (`exp_*`) and Criterion
-//! benches. Each function runs a deterministic simulated workload and
-//! returns the measurements the corresponding EXPERIMENTS.md table
-//! reports.
+//! Shared harness for the experiment binaries and Criterion benches.
+//! `exp <campaign>` runs the campaign sweeps (E13–E22) through one
+//! runner, [`campaign`]; the `exp_*` binaries run the other experiments.
+//! Each function runs a deterministic simulated workload and returns the
+//! measurements the corresponding EXPERIMENTS.md table reports.
 
 pub mod attack;
+pub mod campaign;
 pub mod chaos;
 pub mod conform;
 pub mod contracts;
 pub mod failover;
 pub mod fairness;
+pub mod json;
 pub mod overload;
 pub mod scale;
 pub mod shard;
 pub mod topology;
 
-use netsim::{two_party, Dur, FaultProfile, LinkParams, SimNet, StackNode, Time};
+use netsim::{two_party, Dur, FaultProfile, LinkParams, StackNode, Time};
 use sublayer_core::shim::ShimStack;
 use sublayer_core::{CmScheme, SlConfig, SlTcpStack};
 use tcp_mono::stack::TcpStack;
@@ -99,8 +102,8 @@ pub fn run_transfer(
 
     match kind {
         StackKind::Mono => {
-            let mut c = TcpStack::new(A, slmetrics::shared());
-            let mut s = TcpStack::new(B, slmetrics::shared());
+            let mut c = TcpStack::new(A, slmetrics::muted());
+            let mut s = TcpStack::new(B, slmetrics::muted());
             s.listen(80);
             conn_mono = Some(c.connect(Time::ZERO, 5000, Endpoint::new(B, 80)));
             let (n, nc, ns) = two_party(seed, c, s, params);
@@ -118,8 +121,8 @@ pub fn run_transfer(
             if matches!(kind, StackKind::SubNoSack) {
                 cfg.use_sack = false;
             }
-            let mut c = SlTcpStack::new(A, cfg.clone(), slmetrics::shared());
-            let mut s = SlTcpStack::new(B, cfg, slmetrics::shared());
+            let mut c = SlTcpStack::new(A, cfg.clone(), slmetrics::muted());
+            let mut s = SlTcpStack::new(B, cfg, slmetrics::muted());
             s.listen(80);
             conn_sub = Some(c.connect(Time::ZERO, 5000, Endpoint::new(B, 80)));
             let (n, nc, ns) = two_party(seed, c, s, params);
@@ -128,8 +131,8 @@ pub fn run_transfer(
             rx = Side::Sub(ns);
         }
         StackKind::ShimClientMonoServer => {
-            let mut c = ShimStack::new(SlTcpStack::new(A, sub_config("reno", false), slmetrics::shared()));
-            let mut s = TcpStack::new(B, slmetrics::shared());
+            let mut c = ShimStack::new(SlTcpStack::new(A, sub_config("reno", false), slmetrics::muted()));
+            let mut s = TcpStack::new(B, slmetrics::muted());
             s.listen(80);
             conn_sub = Some(c.inner.connect(Time::ZERO, 5000, Endpoint::new(B, 80)));
             let (n, nc, ns) = two_party(seed, c, s, params);
@@ -138,8 +141,8 @@ pub fn run_transfer(
             rx = Side::Mono(ns);
         }
         StackKind::MonoClientShimServer => {
-            let mut c = TcpStack::new(A, slmetrics::shared());
-            let mut s = ShimStack::new(SlTcpStack::new(B, sub_config("reno", false), slmetrics::shared()));
+            let mut c = TcpStack::new(A, slmetrics::muted());
+            let mut s = ShimStack::new(SlTcpStack::new(B, sub_config("reno", false), slmetrics::muted()));
             s.inner.listen(80);
             conn_mono = Some(c.connect(Time::ZERO, 5000, Endpoint::new(B, 80)));
             let (n, nc, ns) = two_party(seed, c, s, params);
@@ -216,6 +219,11 @@ pub fn run_transfer(
     }
 }
 
+/// Nanoseconds as a simulated duration (the host sweeps' time unit).
+pub(crate) fn dur(ns: u64) -> Dur {
+    Dur::from_nanos(ns)
+}
+
 /// A standard link for the TCP comparisons: 10 ms delay, 20 Mbit/s.
 pub fn standard_link(loss: f64) -> LinkParams {
     LinkParams::delay_only(Dur::from_millis(10))
@@ -247,8 +255,8 @@ pub fn markdown_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 
 /// Crossing statistics from a sublayered transfer (for E10).
 pub fn crossings_for_workload(bytes: usize, loss: f64, seed: u64) -> sublayer_core::CrossingStats {
-    let mut c = SlTcpStack::new(A, SlConfig::default(), slmetrics::shared());
-    let mut s = SlTcpStack::new(B, SlConfig::default(), slmetrics::shared());
+    let mut c = SlTcpStack::new(A, SlConfig::default(), slmetrics::muted());
+    let mut s = SlTcpStack::new(B, SlConfig::default(), slmetrics::muted());
     s.listen(80);
     let conn = c.connect(Time::ZERO, 5000, Endpoint::new(B, 80));
     let (mut net, nc, ns) = two_party(seed, c, s, standard_link(loss));
@@ -273,12 +281,6 @@ pub fn crossings_for_workload(bytes: usize, loss: f64, seed: u64) -> sublayer_co
     // Sender-host view only: its NIC/host boundary carries OSR->RD
     // segments down and signals up; the receiver host is symmetric.
     net.node::<StackNode<SlTcpStack>>(nc).stack.crossings.clone()
-}
-
-/// Drive one SimNet until idle/deadline — helper for examples/tests.
-pub fn settle(net: &mut SimNet, secs: u64) {
-    let dl = net.now() + Dur::from_secs(secs);
-    net.run_until(dl);
 }
 
 #[cfg(test)]

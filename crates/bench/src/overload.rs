@@ -39,6 +39,9 @@ use sublayer_core::{SlConfig, SlTcpStack};
 use tcp_mono::stack::TcpStack;
 use tcp_mono::wire::Endpoint;
 
+use crate::campaign::Campaign;
+use crate::{dur, json};
+
 const SERVER_ADDR: u32 = crate::A;
 const CLIENT_BASE: u32 = 0x0A01_0000;
 const PORT: u16 = 80;
@@ -56,10 +59,6 @@ const RESP_SLOW: usize = 160 * 1024;
 /// open-loop burst genuinely outruns the server.
 const LINK_DELAY_NS: u64 = 1_000_000;
 const LINK_RATE_BPS: u64 = 2_000_000;
-
-fn dur(ns: u64) -> netsim::Dur {
-    netsim::Dur::from_nanos(ns)
-}
 
 /// Deterministic response byte `j` — same formula on both sides.
 fn resp_byte(j: usize) -> u8 {
@@ -731,120 +730,113 @@ fn run_generic<S: HostStack>(
     out
 }
 
-/// The sweep: every profile × both stacks; one seed for smoke, two for
-/// the full run.
-pub fn sweep(smoke: bool) -> Vec<OverloadOutcome> {
-    let seeds: &[u64] = if smoke { &[1] } else { &[1, 2] };
-    let mut outs = Vec::new();
-    for &seed in seeds {
-        for stack in [OverloadStack::Sub, OverloadStack::Mono] {
-            for profile in
-                [Profile::Baseline, Profile::Flood, Profile::Slowloris, Profile::Drain]
-            {
-                outs.push(run_one(OverloadParams { profile, stack, seed }));
+/// E16: the overload sweep (`exp overload`).
+pub struct Overload;
+
+impl Campaign for Overload {
+    type Cell = OverloadOutcome;
+    type Sweep = Vec<OverloadOutcome>;
+    const NAME: &'static str = "overload";
+    const CROSS_KEY: Option<&'static str> = Some("cross_checks");
+
+    fn title(&self, _smoke: bool) -> String {
+        "# E16: overload control (slhost)".into()
+    }
+
+    /// Every profile × both stacks; one seed for smoke, two for the full
+    /// run.
+    fn sweep(&self, smoke: bool) -> Vec<OverloadOutcome> {
+        let seeds: &[u64] = if smoke { &[1] } else { &[1, 2] };
+        let mut outs = Vec::new();
+        for &seed in seeds {
+            for stack in [OverloadStack::Sub, OverloadStack::Mono] {
+                for profile in
+                    [Profile::Baseline, Profile::Flood, Profile::Slowloris, Profile::Drain]
+                {
+                    outs.push(run_one(OverloadParams { profile, stack, seed }));
+                }
             }
         }
+        outs
     }
-    outs
-}
 
-/// Sweep-level acceptance: under the 4× flood, the median per-connection
-/// transfer goodput of accepted connections must hold at ≥ 80% of the
-/// same stack-and-seed's uncontended baseline.
-pub fn cross_checks(outs: &[OverloadOutcome]) -> Vec<String> {
-    let mut v = Vec::new();
-    for flood in outs.iter().filter(|o| o.profile == "flood") {
-        let Some(base) = outs.iter().find(|o| {
-            o.profile == "baseline" && o.stack == flood.stack && o.seed == flood.seed
-        }) else {
-            continue;
-        };
-        if flood.goodput_kbps_p50 * 100 < base.goodput_kbps_p50 * 80 {
-            v.push(format!(
-                "flood p50 goodput {} kbps fell below 80% of baseline {} kbps \
-                 at stack={} seed={}",
-                flood.goodput_kbps_p50, base.goodput_kbps_p50, flood.stack, flood.seed
-            ));
+    /// Under the 4× flood, the median per-connection transfer goodput of
+    /// accepted connections must hold at ≥ 80% of the same
+    /// stack-and-seed's uncontended baseline.
+    fn cross_checks(&self, outs: &Vec<OverloadOutcome>) -> Vec<String> {
+        let mut v = Vec::new();
+        for flood in outs.iter().filter(|o| o.profile == "flood") {
+            let Some(base) = outs.iter().find(|o| {
+                o.profile == "baseline" && o.stack == flood.stack && o.seed == flood.seed
+            }) else {
+                continue;
+            };
+            if flood.goodput_kbps_p50 * 100 < base.goodput_kbps_p50 * 80 {
+                v.push(format!(
+                    "flood p50 goodput {} kbps fell below 80% of baseline {} kbps \
+                     at stack={} seed={}",
+                    flood.goodput_kbps_p50, base.goodput_kbps_p50, flood.stack, flood.seed
+                ));
+            }
         }
+        v
     }
-    v
-}
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+    fn violations<'a>(&self, o: &'a OverloadOutcome) -> &'a [String] {
+        &o.violations
     }
-    out.push('"');
-    out
-}
 
-fn json_err(e: Option<TransportError>) -> String {
-    match e {
-        None => "null".into(),
-        Some(e) => json_str(&format!("{e:?}")),
+    fn row_json(&self, o: &OverloadOutcome) -> String {
+        json::Object::default()
+            .str("profile", o.profile)
+            .str("stack", o.stack)
+            .field("seed", o.seed)
+            .field("offered", o.offered)
+            .field("n_slow", o.n_slow)
+            .field("completed", o.completed)
+            .field("refused", o.refused)
+            .field("evicted", o.evicted)
+            .field("starved", o.starved)
+            .field("corrupt", o.corrupt)
+            .field("accepts", o.accepts)
+            .field("deferrals", o.deferrals)
+            .field("backlog_refusals", o.backlog_refusals)
+            .field("host_refusals", o.host_refusals)
+            .field("stack_refusals", o.stack_refusals)
+            .field("sheds", o.sheds)
+            .field("slow_drain_evictions", o.slow_drain_evictions)
+            .field("mem_peak", o.mem_peak)
+            .field("budget_bytes", o.budget_bytes)
+            .field("goodput_kbps_p50", o.goodput_kbps_p50)
+            .field("xfer_p50_us", o.xfer_p50_us)
+            .field("first_error", json::err(o.first_error))
+            .field("server_residual", o.server_residual)
+            .field("drained", o.drained)
+            .field("sim_ms", o.sim_ms)
+            .field("violations", json::str_list(&o.violations))
+            .end()
     }
-}
 
-/// Deterministic, hand-rolled JSON for one outcome (stable field order,
-/// integers only — byte-identical for identical seeds).
-pub fn outcome_json(o: &OverloadOutcome) -> String {
-    let viol: Vec<String> = o.violations.iter().map(|v| json_str(v)).collect();
-    format!(
-        "{{\"profile\":{},\"stack\":{},\"seed\":{},\"offered\":{},\"n_slow\":{},\
-         \"completed\":{},\"refused\":{},\"evicted\":{},\"starved\":{},\
-         \"corrupt\":{},\"accepts\":{},\"deferrals\":{},\"backlog_refusals\":{},\
-         \"host_refusals\":{},\"stack_refusals\":{},\"sheds\":{},\
-         \"slow_drain_evictions\":{},\"mem_peak\":{},\"budget_bytes\":{},\
-         \"goodput_kbps_p50\":{},\"xfer_p50_us\":{},\"first_error\":{},\
-         \"server_residual\":{},\"drained\":{},\"sim_ms\":{},\"violations\":[{}]}}",
-        json_str(o.profile),
-        json_str(o.stack),
-        o.seed,
-        o.offered,
-        o.n_slow,
-        o.completed,
-        o.refused,
-        o.evicted,
-        o.starved,
-        o.corrupt,
-        o.accepts,
-        o.deferrals,
-        o.backlog_refusals,
-        o.host_refusals,
-        o.stack_refusals,
-        o.sheds,
-        o.slow_drain_evictions,
-        o.mem_peak,
-        o.budget_bytes,
-        o.goodput_kbps_p50,
-        o.xfer_p50_us,
-        json_err(o.first_error),
-        o.server_residual,
-        o.drained,
-        o.sim_ms,
-        viol.join(",")
-    )
-}
+    fn headers(&self) -> &'static [&'static str] {
+        &[
+            "profile", "stack", "seed", "done", "refused", "evicted", "defers", "slowdrain",
+            "mem/budget", "p50 kbps", "viol",
+        ]
+    }
 
-/// The whole sweep (plus sweep-level checks) as one JSON document.
-pub fn summary_json(outs: &[OverloadOutcome], cross: &[String]) -> String {
-    let rows: Vec<String> = outs.iter().map(outcome_json).collect();
-    let violations: usize =
-        outs.iter().map(|o| o.violations.len()).sum::<usize>() + cross.len();
-    let cross_rows: Vec<String> = cross.iter().map(|c| json_str(c)).collect();
-    format!(
-        "{{\"runs\":[\n  {}\n],\"cross_checks\":[{}],\"total\":{},\"violations\":{}}}",
-        rows.join(",\n  "),
-        cross_rows.join(","),
-        outs.len(),
-        violations
-    )
+    fn row(&self, o: &OverloadOutcome) -> Vec<String> {
+        vec![
+            o.profile.to_string(),
+            o.stack.to_string(),
+            o.seed.to_string(),
+            format!("{}/{}", o.completed, o.offered),
+            o.refused.to_string(),
+            o.evicted.to_string(),
+            o.deferrals.to_string(),
+            o.slow_drain_evictions.to_string(),
+            format!("{}k/{}k", o.mem_peak / 1024, o.budget_bytes / 1024),
+            o.goodput_kbps_p50.to_string(),
+            o.violations.len().to_string(),
+        ]
+    }
 }

@@ -23,6 +23,9 @@ use sublayer_core::{KeepaliveConfig, SlConfig, SlTcpStack};
 use tcp_mono::stack::{Keepalive, TcpStack};
 use tcp_mono::wire::Endpoint;
 
+use crate::campaign::Campaign;
+use crate::{dur, json};
+
 /// Server address (clients start above [`CLIENT_BASE`]).
 const SERVER_ADDR: u32 = crate::A;
 const CLIENT_BASE: u32 = 0x0A01_0000;
@@ -40,10 +43,6 @@ const LINGER_NS: u64 = 10_000_000_000;
 const KA_IDLE_NS: u64 = 5_000_000_000;
 const KA_INTERVAL_NS: u64 = 1_000_000_000;
 const KA_MAX_PROBES: u32 = 5;
-
-fn dur(ns: u64) -> netsim::Dur {
-    netsim::Dur::from_nanos(ns)
-}
 
 /// Which transport serves (and runs in) every node of a run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -145,7 +144,9 @@ enum Phase {
 
 /// One scripted client: connect → request → verify echo → linger → close.
 /// Generic over the same [`HostStack`] surface the host uses, so the whole
-/// experiment is stack-agnostic by construction.
+/// experiment is stack-agnostic by construction. Verifies the echo
+/// streamingly, with no per-client payload copy, so the E20 shard sweep
+/// drives 100k of them.
 pub struct ScaleClient<S: HostStack> {
     stack: S,
     server: Endpoint,
@@ -155,6 +156,7 @@ pub struct ScaleClient<S: HostStack> {
     /// Echo bytes verified so far.
     got: usize,
     connect_at: Time,
+    linger_ns: u64,
     linger_until: Time,
     pub connected_at: Option<Time>,
     /// When the handshake completed (accept latency's far edge).
@@ -165,7 +167,13 @@ pub struct ScaleClient<S: HostStack> {
 }
 
 impl<S: HostStack> ScaleClient<S> {
-    fn new(stack: S, server: Endpoint, connect_at: Time, req: Vec<u8>) -> Self {
+    pub(crate) fn new(
+        stack: S,
+        server: Endpoint,
+        connect_at: Time,
+        req: Vec<u8>,
+        linger_ns: u64,
+    ) -> Self {
         ScaleClient {
             stack,
             server,
@@ -174,6 +182,7 @@ impl<S: HostStack> ScaleClient<S> {
             conn: None,
             got: 0,
             connect_at,
+            linger_ns,
             linger_until: Time::MAX,
             connected_at: None,
             established_at: None,
@@ -230,7 +239,7 @@ impl<S: HostStack> ScaleClient<S> {
                         return;
                     }
                     self.done_at = Some(now);
-                    self.linger_until = Time(now.nanos() + LINGER_NS);
+                    self.linger_until = Time(now.nanos() + self.linger_ns);
                     self.phase = Phase::Linger;
                 }
                 Phase::Linger => {
@@ -326,6 +335,7 @@ fn run_generic<S: HostStack>(p: ScaleParams, mk: impl Fn(u32) -> S) -> ScaleOutc
                 Endpoint::new(SERVER_ADDR, PORT),
                 Time(1_000_000 + STAGGER_NS * i as u64),
                 request(i),
+                LINGER_NS,
             )
         })
         .collect();
@@ -466,155 +476,149 @@ fn run_generic<S: HostStack>(p: ScaleParams, mk: impl Fn(u32) -> S) -> ScaleOutc
     out
 }
 
-/// The sweep: smoke = N=30 across both stacks × both timer modes; full =
-/// wheel at N ∈ {100, 1000, 5000} × both stacks × two seeds, plus the
-/// naive baseline at N ∈ {100, 1000} (quadratic — N=5000 naive is the
-/// point of not having a wheel, so it is not run).
-pub fn sweep(smoke: bool) -> Vec<ScaleOutcome> {
-    let stacks = [ScaleStack::Sub, ScaleStack::Mono];
-    let mut outs = Vec::new();
-    if smoke {
-        for stack in stacks {
-            for timer_mode in [TimerMode::Wheel, TimerMode::NaiveScan] {
-                outs.push(run_one(ScaleParams { stack, timer_mode, n: 30, seed: 1 }));
+/// E15: the scale sweep (`exp scale`).
+pub struct Scale;
+
+impl Campaign for Scale {
+    type Cell = ScaleOutcome;
+    type Sweep = Vec<ScaleOutcome>;
+    const NAME: &'static str = "scale";
+    const CROSS_KEY: Option<&'static str> = Some("cross_checks");
+
+    fn title(&self, _smoke: bool) -> String {
+        "# E15: many-client scale (slhost)".into()
+    }
+
+    /// Smoke = N=30 across both stacks × both timer modes; full = wheel
+    /// at N ∈ {100, 1000, 5000} × both stacks × two seeds, plus the naive
+    /// baseline at N ∈ {100, 1000} (quadratic — N=5000 naive is the point
+    /// of not having a wheel, so it is not run).
+    fn sweep(&self, smoke: bool) -> Vec<ScaleOutcome> {
+        let stacks = [ScaleStack::Sub, ScaleStack::Mono];
+        let mut outs = Vec::new();
+        if smoke {
+            for stack in stacks {
+                for timer_mode in [TimerMode::Wheel, TimerMode::NaiveScan] {
+                    outs.push(run_one(ScaleParams { stack, timer_mode, n: 30, seed: 1 }));
+                }
+            }
+            return outs;
+        }
+        for &n in &[100usize, 1000, 5000] {
+            for stack in stacks {
+                for seed in [1u64, 2] {
+                    outs.push(run_one(ScaleParams {
+                        stack,
+                        timer_mode: TimerMode::Wheel,
+                        n,
+                        seed,
+                    }));
+                }
             }
         }
-        return outs;
-    }
-    for &n in &[100usize, 1000, 5000] {
-        for stack in stacks {
-            for seed in [1u64, 2] {
+        for &n in &[100usize, 1000] {
+            for stack in stacks {
                 outs.push(run_one(ScaleParams {
                     stack,
-                    timer_mode: TimerMode::Wheel,
+                    timer_mode: TimerMode::NaiveScan,
                     n,
-                    seed,
+                    seed: 1,
                 }));
             }
         }
+        outs
     }
-    for &n in &[100usize, 1000] {
-        for stack in stacks {
-            outs.push(run_one(ScaleParams {
-                stack,
-                timer_mode: TimerMode::NaiveScan,
-                n,
-                seed: 1,
-            }));
+
+    /// Wherever the same (stack, n, seed) cell ran under both timer
+    /// modes, the wheel must do strictly less timer work per tick than
+    /// the naive scan.
+    fn cross_checks(&self, outs: &Vec<ScaleOutcome>) -> Vec<String> {
+        let mut v = Vec::new();
+        for naive in outs.iter().filter(|o| o.timer == "naive") {
+            let Some(wheel) = outs.iter().find(|o| {
+                o.timer == "wheel"
+                    && o.stack == naive.stack
+                    && o.n == naive.n
+                    && o.seed == naive.seed
+            }) else {
+                continue;
+            };
+            if wheel.work_per_tick_x100 >= naive.work_per_tick_x100 {
+                v.push(format!(
+                    "wheel work/tick ({}.{:02}) not below naive ({}.{:02}) at stack={} n={}",
+                    wheel.work_per_tick_x100 / 100,
+                    wheel.work_per_tick_x100 % 100,
+                    naive.work_per_tick_x100 / 100,
+                    naive.work_per_tick_x100 % 100,
+                    naive.stack,
+                    naive.n
+                ));
+            }
         }
+        v
     }
-    outs
-}
 
-/// Sweep-level acceptance: wherever the same (stack, n, seed) cell ran
-/// under both timer modes, the wheel must do strictly less timer work per
-/// tick than the naive scan.
-pub fn cross_checks(outs: &[ScaleOutcome]) -> Vec<String> {
-    let mut v = Vec::new();
-    for naive in outs.iter().filter(|o| o.timer == "naive") {
-        let Some(wheel) = outs.iter().find(|o| {
-            o.timer == "wheel"
-                && o.stack == naive.stack
-                && o.n == naive.n
-                && o.seed == naive.seed
-        }) else {
-            continue;
-        };
-        if wheel.work_per_tick_x100 >= naive.work_per_tick_x100 {
-            v.push(format!(
-                "wheel work/tick ({}.{:02}) not below naive ({}.{:02}) at stack={} n={}",
-                wheel.work_per_tick_x100 / 100,
-                wheel.work_per_tick_x100 % 100,
-                naive.work_per_tick_x100 / 100,
-                naive.work_per_tick_x100 % 100,
-                naive.stack,
-                naive.n
-            ));
-        }
+    fn violations<'a>(&self, o: &'a ScaleOutcome) -> &'a [String] {
+        &o.violations
     }
-    v
-}
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+    fn row_json(&self, o: &ScaleOutcome) -> String {
+        json::Object::default()
+            .str("stack", o.stack)
+            .str("timer", o.timer)
+            .field("n", o.n)
+            .field("seed", o.seed)
+            .field("completed", o.completed)
+            .field("corrupt", o.corrupt)
+            .field("client_errors", o.client_errors)
+            .field("first_error", json::err(o.first_error))
+            .field("accepts", o.accepts)
+            .field("accept_refusals", o.accept_refusals)
+            .field("conns_per_sec", o.conns_per_sec)
+            .field("p50_us", o.p50_us)
+            .field("p99_us", o.p99_us)
+            .field("accept_p50_us", o.accept_p50_us)
+            .field("accept_p99_us", o.accept_p99_us)
+            .field("bytes_per_conn", o.bytes_per_conn)
+            .field("shard_occupancy", o.shard_occupancy)
+            .field("ticks", o.ticks)
+            .field("timer_fires", o.timer_fires)
+            .field("timer_touches", o.timer_touches)
+            .field("work_per_tick_x100", o.work_per_tick_x100)
+            .field("frames_in", o.frames_in)
+            .field("frames_out", o.frames_out)
+            .field("events", o.events)
+            .field("echoed_bytes", o.echoed_bytes)
+            .field("crossings", o.crossings)
+            .field("server_residual", o.server_residual)
+            .field("sim_ms", o.sim_ms)
+            .field("violations", json::str_list(&o.violations))
+            .end()
     }
-    out.push('"');
-    out
-}
 
-fn json_err(e: Option<TransportError>) -> String {
-    match e {
-        None => "null".into(),
-        Some(e) => json_str(&format!("{e:?}")),
+    fn headers(&self) -> &'static [&'static str] {
+        &[
+            "stack", "timer", "n", "seed", "done", "conns/s", "p50 us", "p99 us", "acc p99 us",
+            "occ %", "work/tick", "ticks", "xings/conn", "viol",
+        ]
     }
-}
 
-/// Deterministic, hand-rolled JSON for one outcome (stable field order,
-/// integers only — byte-identical for identical seeds).
-pub fn outcome_json(o: &ScaleOutcome) -> String {
-    let viol: Vec<String> = o.violations.iter().map(|v| json_str(v)).collect();
-    format!(
-        "{{\"stack\":{},\"timer\":{},\"n\":{},\"seed\":{},\"completed\":{},\
-         \"corrupt\":{},\"client_errors\":{},\"first_error\":{},\"accepts\":{},\
-         \"accept_refusals\":{},\"conns_per_sec\":{},\"p50_us\":{},\"p99_us\":{},\
-         \"accept_p50_us\":{},\"accept_p99_us\":{},\"bytes_per_conn\":{},\
-         \"shard_occupancy\":{},\
-         \"ticks\":{},\"timer_fires\":{},\"timer_touches\":{},\
-         \"work_per_tick_x100\":{},\"frames_in\":{},\"frames_out\":{},\
-         \"events\":{},\"echoed_bytes\":{},\"crossings\":{},\"server_residual\":{},\
-         \"sim_ms\":{},\"violations\":[{}]}}",
-        json_str(o.stack),
-        json_str(o.timer),
-        o.n,
-        o.seed,
-        o.completed,
-        o.corrupt,
-        o.client_errors,
-        json_err(o.first_error),
-        o.accepts,
-        o.accept_refusals,
-        o.conns_per_sec,
-        o.p50_us,
-        o.p99_us,
-        o.accept_p50_us,
-        o.accept_p99_us,
-        o.bytes_per_conn,
-        o.shard_occupancy,
-        o.ticks,
-        o.timer_fires,
-        o.timer_touches,
-        o.work_per_tick_x100,
-        o.frames_in,
-        o.frames_out,
-        o.events,
-        o.echoed_bytes,
-        o.crossings,
-        o.server_residual,
-        o.sim_ms,
-        viol.join(",")
-    )
-}
-
-/// The whole sweep (plus sweep-level checks) as one JSON document.
-pub fn summary_json(outs: &[ScaleOutcome], cross: &[String]) -> String {
-    let rows: Vec<String> = outs.iter().map(outcome_json).collect();
-    let violations: usize =
-        outs.iter().map(|o| o.violations.len()).sum::<usize>() + cross.len();
-    let cross_rows: Vec<String> = cross.iter().map(|c| json_str(c)).collect();
-    format!(
-        "{{\"runs\":[\n  {}\n],\"cross_checks\":[{}],\"total\":{},\"violations\":{}}}",
-        rows.join(",\n  "),
-        cross_rows.join(","),
-        outs.len(),
-        violations
-    )
+    fn row(&self, o: &ScaleOutcome) -> Vec<String> {
+        vec![
+            o.stack.to_string(),
+            o.timer.to_string(),
+            o.n.to_string(),
+            o.seed.to_string(),
+            format!("{}/{}", o.completed, o.n),
+            o.conns_per_sec.to_string(),
+            o.p50_us.to_string(),
+            o.p99_us.to_string(),
+            o.accept_p99_us.to_string(),
+            o.shard_occupancy.to_string(),
+            format!("{}.{:02}", o.work_per_tick_x100 / 100, o.work_per_tick_x100 % 100),
+            o.ticks.to_string(),
+            (o.crossings / o.n as u64).to_string(),
+            o.violations.len().to_string(),
+        ]
+    }
 }

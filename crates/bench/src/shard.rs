@@ -9,7 +9,7 @@
 //! sees every connection open), then closes.
 //!
 //! Per-run invariants (any failure is a violation, reported and fatal to
-//! `exp_shard`): every echo completes intact with no transport errors
+//! `exp shard`): every echo completes intact with no transport errors
 //! and no refusals; every shard's memory peak stays within its own
 //! budget and the per-shard peaks sum within the global budget (sum of
 //! peaks bounds the peak of the sum, so this is conservative); the
@@ -21,10 +21,8 @@
 //! the threaded run's outcome to be byte-identical to the single-thread
 //! inline reference — the determinism claim, enforced in CI.
 
-use crate::scale::ScaleStack;
 use netsim::{
-    Dur, HeavyTailed, LinkParams, MultiStackNode, SimNet, Stack, StackNode, Time,
-    TransportError,
+    HeavyTailed, LinkParams, MultiStackNode, SimNet, StackNode, Time, TransportError,
 };
 use slhost::{EchoApp, Host, HostConfig, HostStack, ResourceBudget, ServedHost};
 use slshard::{Mode, ShardedConfig, ShardedHost};
@@ -32,10 +30,13 @@ use sublayer_core::{SlConfig, SlTcpStack};
 use tcp_mono::stack::TcpStack;
 use tcp_mono::wire::Endpoint;
 
+use crate::campaign::Campaign;
+use crate::scale::{ScaleClient, ScaleStack};
+use crate::{dur, json};
+
 const SERVER_ADDR: u32 = crate::A;
 const CLIENT_BASE: u32 = 0x0B00_0000;
 const PORT: u16 = 80;
-const CLIENT_PORT: u16 = 5000;
 /// Gap between successive client connect times.
 const STAGGER_NS: u64 = 20_000;
 /// Heavy-tailed request sizes: mice of 64 B, elephants to 8 KiB.
@@ -51,11 +52,7 @@ const DELAY_CLASSES_NS: [u64; 4] = [100_000, 500_000, 2_500_000, 10_000_000];
 /// budgets were *live but never exceeded*, not absent.
 const SHARD_BUDGET: usize = 16 << 20;
 
-fn dur(ns: u64) -> Dur {
-    Dur::from_nanos(ns)
-}
-
-fn mode_label(m: Mode) -> &'static str {
+pub(crate) fn mode_label(m: Mode) -> &'static str {
     match m {
         Mode::Threaded => "threaded",
         Mode::Inline => "inline",
@@ -133,155 +130,10 @@ pub struct ShardOutcome {
     pub violations: Vec<String>,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Phase {
-    Idle,
-    Connecting,
-    Await,
-    Linger,
-    Closing,
-    Done,
-    Failed,
-}
-
-/// One scripted client: connect → request → verify echo → linger →
-/// close. Verifies the echo streamingly (no per-client payload storage —
-/// this scales to 500k clients).
-struct ShardClient<S: HostStack> {
-    stack: S,
-    server: Endpoint,
-    req: Vec<u8>,
-    phase: Phase,
-    conn: Option<S::ConnId>,
-    got: usize,
-    corrupt: bool,
-    connect_at: Time,
-    linger_until: Time,
-    connected_at: Option<Time>,
-    established_at: Option<Time>,
-    done_at: Option<Time>,
-    error: Option<TransportError>,
-}
-
 /// Deterministic request payload for client `i` (heavy-tailed length).
 fn request(sizes: &HeavyTailed, i: usize) -> Vec<u8> {
     let len = sizes.size(i as u64) as usize;
     (0..len).map(|j| ((i * 131 + j * 7) % 251) as u8).collect()
-}
-
-impl<S: HostStack> ShardClient<S> {
-    fn new(stack: S, connect_at: Time, req: Vec<u8>) -> Self {
-        ShardClient {
-            stack,
-            server: Endpoint::new(SERVER_ADDR, PORT),
-            req,
-            phase: Phase::Idle,
-            conn: None,
-            got: 0,
-            corrupt: false,
-            connect_at,
-            linger_until: Time::MAX,
-            connected_at: None,
-            established_at: None,
-            done_at: None,
-            error: None,
-        }
-    }
-
-    fn drive(&mut self, now: Time) {
-        if let (Some(id), None) = (self.conn, self.error) {
-            if let Some(e) = self.stack.conn_error(id) {
-                self.error = Some(e);
-                self.phase = Phase::Failed;
-            }
-        }
-        loop {
-            match self.phase {
-                Phase::Idle => {
-                    if now < self.connect_at {
-                        return;
-                    }
-                    match self.stack.try_connect(now, CLIENT_PORT, self.server) {
-                        Ok(id) => {
-                            self.conn = Some(id);
-                            self.connected_at = Some(now);
-                            self.phase = Phase::Connecting;
-                        }
-                        Err(e) => {
-                            self.error = Some(e);
-                            self.phase = Phase::Failed;
-                        }
-                    }
-                }
-                Phase::Connecting => {
-                    let id = self.conn.expect("connected past Idle");
-                    if !self.stack.is_established(id) {
-                        return;
-                    }
-                    self.established_at = Some(now);
-                    self.stack.send(id, &self.req);
-                    self.phase = Phase::Await;
-                }
-                Phase::Await => {
-                    let id = self.conn.expect("connected past Idle");
-                    let data = self.stack.recv(id);
-                    for &b in &data {
-                        if self.got >= self.req.len() || b != self.req[self.got] {
-                            self.corrupt = true;
-                        }
-                        self.got += 1;
-                    }
-                    if self.got < self.req.len() {
-                        return;
-                    }
-                    self.done_at = Some(now);
-                    self.linger_until = Time(now.nanos() + LINGER_NS);
-                    self.phase = Phase::Linger;
-                }
-                Phase::Linger => {
-                    if now < self.linger_until {
-                        return;
-                    }
-                    let id = self.conn.expect("connected past Idle");
-                    self.stack.close(id);
-                    self.phase = Phase::Closing;
-                }
-                Phase::Closing => {
-                    let id = self.conn.expect("connected past Idle");
-                    if !self.stack.is_closed(id) {
-                        return;
-                    }
-                    self.phase = Phase::Done;
-                }
-                Phase::Done | Phase::Failed => return,
-            }
-        }
-    }
-}
-
-impl<S: HostStack> Stack for ShardClient<S> {
-    fn on_frame(&mut self, now: Time, frame: &[u8]) {
-        Stack::on_frame(&mut self.stack, now, frame);
-        self.drive(now);
-    }
-
-    fn poll_transmit(&mut self, now: Time) -> Option<Vec<u8>> {
-        Stack::poll_transmit(&mut self.stack, now)
-    }
-
-    fn poll_deadline(&self, now: Time) -> Option<Time> {
-        let own = match self.phase {
-            Phase::Idle => Some(self.connect_at),
-            Phase::Linger => Some(self.linger_until),
-            _ => None,
-        };
-        [own, Stack::poll_deadline(&self.stack, now)].into_iter().flatten().min()
-    }
-
-    fn on_tick(&mut self, now: Time) {
-        Stack::on_tick(&mut self.stack, now);
-        self.drive(now);
-    }
 }
 
 /// Run one cell of the sweep.
@@ -334,10 +186,12 @@ where
     let sid = net.add_node(Box::new(MultiStackNode::new(server)));
     let mut cids = Vec::with_capacity(p.n);
     for i in 0..p.n {
-        let client = ShardClient::new(
+        let client = ScaleClient::new(
             mk(CLIENT_BASE + i as u32),
+            Endpoint::new(SERVER_ADDR, PORT),
             Time(1_000_000 + STAGGER_NS * i as u64),
             request(&sizes, i),
+            LINGER_NS,
         );
         let cid = net.add_node(Box::new(StackNode::new(client)));
         let delay = DELAY_CLASSES_NS[sizes.pick(i as u64, 4) as usize];
@@ -377,7 +231,7 @@ where
     let mut first_connect = u64::MAX;
     let mut last_done = 0u64;
     for (i, &cid) in cids.iter().enumerate() {
-        let c = &net.node::<StackNode<ShardClient<S>>>(cid).stack;
+        let c = &net.node::<StackNode<ScaleClient<S>>>(cid).stack;
         if c.corrupt {
             corrupt += 1;
         }
@@ -559,169 +413,157 @@ where
     out
 }
 
-/// The mode-determinism cross-check: a threaded run and its inline
-/// reference (same stack, shards, n, seed) must agree on every field
-/// except the mode label.
-pub fn mode_cross_checks(outs: &[ShardOutcome]) -> Vec<String> {
-    let mut v = Vec::new();
-    for t in outs.iter().filter(|o| o.mode == "threaded") {
-        let Some(i) = outs.iter().find(|o| {
-            o.mode == "inline"
-                && o.stack == t.stack
-                && o.shards == t.shards
-                && o.n == t.n
-                && o.seed == t.seed
-        }) else {
-            continue;
-        };
-        let strip = |o: &ShardOutcome| {
-            let mut c = o.clone();
-            c.mode = "";
-            outcome_json(&c)
-        };
-        if strip(t) != strip(i) {
-            v.push(format!(
-                "threaded run diverged from inline reference at stack={} shards={} \
-                 n={}:\n  threaded: {}\n  inline:   {}",
-                t.stack,
-                t.shards,
-                t.n,
-                outcome_json(t),
-                outcome_json(i)
-            ));
-        }
-    }
-    v
-}
+/// E20: the shard sweep (`exp shard`).
+pub struct Shard;
 
-/// The sweep. Smoke: both stacks × both modes at n=400, shards=4 (the
-/// mode pair feeds [`mode_cross_checks`]). Full: both stacks, threaded,
-/// 8 shards, n ∈ {10k, 100k} (plus 500k with `stretch`).
-pub fn sweep(smoke: bool, stretch: bool) -> Vec<ShardOutcome> {
-    let stacks = [ScaleStack::Sub, ScaleStack::Mono];
-    let mut outs = Vec::new();
-    if smoke {
-        for stack in stacks {
-            for mode in [Mode::Threaded, Mode::Inline] {
+impl Campaign for Shard {
+    type Cell = ShardOutcome;
+    type Sweep = Vec<ShardOutcome>;
+    const NAME: &'static str = "shard";
+    const CROSS_KEY: Option<&'static str> = Some("mode_cross_checks");
+
+    fn title(&self, _smoke: bool) -> String {
+        "# E20: sharded multi-core host (slshard)".into()
+    }
+
+    /// Smoke: both stacks × both modes at n=400, shards=4 (the mode pair
+    /// feeds the cross-check). Full: both stacks, threaded, 8 shards,
+    /// n ∈ {10k, 100k}.
+    fn sweep(&self, smoke: bool) -> Vec<ShardOutcome> {
+        let stacks = [ScaleStack::Sub, ScaleStack::Mono];
+        let mut outs = Vec::new();
+        if smoke {
+            for stack in stacks {
+                for mode in [Mode::Threaded, Mode::Inline] {
+                    outs.push(run_one(ShardParams {
+                        stack,
+                        mode,
+                        shards: 4,
+                        n: 400,
+                        seed: 1,
+                    }));
+                }
+            }
+            return outs;
+        }
+        for n in [10_000usize, 100_000] {
+            for stack in stacks {
                 outs.push(run_one(ShardParams {
                     stack,
-                    mode,
-                    shards: 4,
-                    n: 400,
+                    mode: Mode::Threaded,
+                    shards: 8,
+                    n,
                     seed: 1,
                 }));
             }
         }
-        return outs;
+        outs
     }
-    let mut ns = vec![10_000usize, 100_000];
-    if stretch {
-        ns.push(500_000);
-    }
-    for &n in &ns {
-        for stack in stacks {
-            outs.push(run_one(ShardParams {
-                stack,
-                mode: Mode::Threaded,
-                shards: 8,
-                n,
-                seed: 1,
-            }));
+
+    /// The mode-determinism cross-check: a threaded run and its inline
+    /// reference (same stack, shards, n, seed) must agree on every field
+    /// except the mode label.
+    fn cross_checks(&self, outs: &Vec<ShardOutcome>) -> Vec<String> {
+        let mut v = Vec::new();
+        for t in outs.iter().filter(|o| o.mode == "threaded") {
+            let Some(i) = outs.iter().find(|o| {
+                o.mode == "inline"
+                    && o.stack == t.stack
+                    && o.shards == t.shards
+                    && o.n == t.n
+                    && o.seed == t.seed
+            }) else {
+                continue;
+            };
+            let strip = |o: &ShardOutcome| {
+                let mut c = o.clone();
+                c.mode = "";
+                self.row_json(&c)
+            };
+            if strip(t) != strip(i) {
+                v.push(format!(
+                    "threaded run diverged from inline reference at stack={} shards={} \
+                     n={}:\n  threaded: {}\n  inline:   {}",
+                    t.stack,
+                    t.shards,
+                    t.n,
+                    self.row_json(t),
+                    self.row_json(i)
+                ));
+            }
         }
+        v
     }
-    outs
-}
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+    fn violations<'a>(&self, o: &'a ShardOutcome) -> &'a [String] {
+        &o.violations
     }
-    out.push('"');
-    out
-}
 
-fn json_arr(v: &[u64]) -> String {
-    let items: Vec<String> = v.iter().map(u64::to_string).collect();
-    format!("[{}]", items.join(","))
-}
+    fn row_json(&self, o: &ShardOutcome) -> String {
+        json::Object::default()
+            .str("stack", o.stack)
+            .str("mode", o.mode)
+            .field("shards", o.shards)
+            .field("n", o.n)
+            .field("seed", o.seed)
+            .field("completed", o.completed)
+            .field("corrupt", o.corrupt)
+            .field("client_errors", o.client_errors)
+            .field("accepts", o.accepts)
+            .field("accept_refusals", o.accept_refusals)
+            .field("conns_per_sec", o.conns_per_sec)
+            .field("accept_p50_us", o.accept_p50_us)
+            .field("accept_p99_us", o.accept_p99_us)
+            .field("p50_us", o.p50_us)
+            .field("p99_us", o.p99_us)
+            .field("echoed_bytes", o.echoed_bytes)
+            .field("expected_bytes", o.expected_bytes)
+            .field("open_mid", o.open_mid)
+            .field("bytes_per_conn", o.bytes_per_conn)
+            .field("shard_occupancy", o.shard_occupancy)
+            .field("mem_peak_total", o.mem_peak_total)
+            .field("mem_peak_worst_shard", o.mem_peak_worst_shard)
+            .field("peak_bytes_per_conn", o.peak_bytes_per_conn)
+            .field("conns_peak_total", o.conns_peak_total)
+            .field("shard_frames", json::arr(&o.shard_frames))
+            .field("balance_x100", o.balance_x100)
+            .field("shard_mem_peaks", json::arr(&o.shard_mem_peaks))
+            .field("shard_budget", o.shard_budget)
+            .field("global_budget", o.global_budget)
+            .field("final_floor", o.final_floor)
+            .field("crossings", o.crossings)
+            .field("heartbeat_age", o.heartbeat_age)
+            .field("shard_restarts", o.shard_restarts)
+            .field("failover_aborts", o.failover_aborts)
+            .field("ring_stalls", o.ring_stalls)
+            .field("server_residual", o.server_residual)
+            .field("sim_ms", o.sim_ms)
+            .field("violations", json::str_list(&o.violations))
+            .end()
+    }
 
-/// Deterministic, hand-rolled JSON for one outcome (stable field order,
-/// integers only — byte-identical for identical seeds).
-pub fn outcome_json(o: &ShardOutcome) -> String {
-    let viol: Vec<String> = o.violations.iter().map(|v| json_str(v)).collect();
-    format!(
-        "{{\"stack\":{},\"mode\":{},\"shards\":{},\"n\":{},\"seed\":{},\
-         \"completed\":{},\"corrupt\":{},\"client_errors\":{},\"accepts\":{},\
-         \"accept_refusals\":{},\"conns_per_sec\":{},\"accept_p50_us\":{},\
-         \"accept_p99_us\":{},\"p50_us\":{},\"p99_us\":{},\"echoed_bytes\":{},\
-         \"expected_bytes\":{},\"open_mid\":{},\"bytes_per_conn\":{},\
-         \"shard_occupancy\":{},\"mem_peak_total\":{},\"mem_peak_worst_shard\":{},\
-         \"peak_bytes_per_conn\":{},\"conns_peak_total\":{},\"shard_frames\":{},\
-         \"balance_x100\":{},\"shard_mem_peaks\":{},\"shard_budget\":{},\
-         \"global_budget\":{},\"final_floor\":{},\"crossings\":{},\
-         \"heartbeat_age\":{},\"shard_restarts\":{},\"failover_aborts\":{},\
-         \"ring_stalls\":{},\"server_residual\":{},\"sim_ms\":{},\
-         \"violations\":[{}]}}",
-        json_str(o.stack),
-        json_str(o.mode),
-        o.shards,
-        o.n,
-        o.seed,
-        o.completed,
-        o.corrupt,
-        o.client_errors,
-        o.accepts,
-        o.accept_refusals,
-        o.conns_per_sec,
-        o.accept_p50_us,
-        o.accept_p99_us,
-        o.p50_us,
-        o.p99_us,
-        o.echoed_bytes,
-        o.expected_bytes,
-        o.open_mid,
-        o.bytes_per_conn,
-        o.shard_occupancy,
-        o.mem_peak_total,
-        o.mem_peak_worst_shard,
-        o.peak_bytes_per_conn,
-        o.conns_peak_total,
-        json_arr(&o.shard_frames),
-        o.balance_x100,
-        json_arr(&o.shard_mem_peaks),
-        o.shard_budget,
-        o.global_budget,
-        o.final_floor,
-        o.crossings,
-        o.heartbeat_age,
-        o.shard_restarts,
-        o.failover_aborts,
-        o.ring_stalls,
-        o.server_residual,
-        o.sim_ms,
-        viol.join(",")
-    )
-}
+    fn headers(&self) -> &'static [&'static str] {
+        &[
+            "stack", "mode", "shards", "n", "done", "conns/s", "acc p99 us", "p99 us",
+            "peak B/conn", "occ %", "balance", "floor", "viol",
+        ]
+    }
 
-/// The whole sweep (plus the mode cross-checks) as one JSON document.
-pub fn summary_json(outs: &[ShardOutcome], cross: &[String]) -> String {
-    let rows: Vec<String> = outs.iter().map(outcome_json).collect();
-    let violations: usize =
-        outs.iter().map(|o| o.violations.len()).sum::<usize>() + cross.len();
-    let cross_rows: Vec<String> = cross.iter().map(|c| json_str(c)).collect();
-    format!(
-        "{{\"runs\":[\n  {}\n],\"mode_cross_checks\":[{}],\"total\":{},\"violations\":{}}}",
-        rows.join(",\n  "),
-        cross_rows.join(","),
-        outs.len(),
-        violations
-    )
+    fn row(&self, o: &ShardOutcome) -> Vec<String> {
+        vec![
+            o.stack.to_string(),
+            o.mode.to_string(),
+            o.shards.to_string(),
+            o.n.to_string(),
+            format!("{}/{}", o.completed, o.n),
+            o.conns_per_sec.to_string(),
+            o.accept_p99_us.to_string(),
+            o.p99_us.to_string(),
+            o.peak_bytes_per_conn.to_string(),
+            o.shard_occupancy.to_string(),
+            format!("{}.{:02}", o.balance_x100 / 100, o.balance_x100 % 100),
+            o.final_floor.to_string(),
+            o.violations.len().to_string(),
+        ]
+    }
 }

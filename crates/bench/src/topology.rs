@@ -33,9 +33,13 @@ use netsim::{AdminOp, Dur, LinkParams, NodeId, SimNet, StackNode, Time, Transpor
 use slconform::driver::{ConformStack, Kind};
 use slconform::multihop::mh_pattern;
 use slconform::natcodec::{nat_codec, peek_for};
-use sublayer_core::{KeepaliveConfig, SlConfig, SlTcpStack};
-use tcp_mono::stack::{Keepalive, TcpStack};
+use sublayer_core::{SlConfig, SlTcpStack};
+use tcp_mono::stack::TcpStack;
 use tcp_mono::wire::Endpoint;
+
+use crate::campaign::{grid, Campaign};
+use crate::chaos::{keepalive_mono, keepalive_sub};
+use crate::json;
 
 /// How long (simulated) a campaign may run before we declare a hang. Must
 /// cover the monolith's full RTO retry budget (~205 s) with headroom.
@@ -194,11 +198,7 @@ pub trait TopoStack: ConformStack {
 impl TopoStack for SlTcpStack {
     fn mk_keepalive(addr: u32) -> Self {
         let cfg = SlConfig {
-            keepalive: Some(KeepaliveConfig {
-                idle: Dur::from_secs(10),
-                interval: Dur::from_secs(2),
-                max_probes: 5,
-            }),
+            keepalive: Some(keepalive_sub()),
             ..SlConfig::default()
         };
         SlTcpStack::new(addr, cfg, slmetrics::shared())
@@ -208,11 +208,7 @@ impl TopoStack for SlTcpStack {
 impl TopoStack for TcpStack {
     fn mk_keepalive(addr: u32) -> Self {
         let mut s = TcpStack::new(addr, slmetrics::shared());
-        s.set_keepalive(Keepalive {
-            idle: Dur::from_secs(10),
-            interval: Dur::from_secs(2),
-            max_probes: 5,
-        });
+        s.set_keepalive(keepalive_mono());
         s
     }
 }
@@ -531,83 +527,105 @@ fn check_universal<H: TopoStack>(profile: TopoProfile, out: &mut TopoOutcome, id
     }
 }
 
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_err(e: &Option<TransportError>) -> String {
-    match e {
-        None => "null".into(),
-        Some(e) => json_str(&format!("{e:?}")),
+/// The standard sweep's profiles and seeds: all six profiles x three
+/// seeds, or a 3-profile x 1-seed subset for `--smoke`.
+fn matrix(smoke: bool) -> (Vec<TopoProfile>, Vec<u64>) {
+    if smoke {
+        (
+            vec![
+                TopoProfile::DiamondReroute,
+                TopoProfile::NatRestart,
+                TopoProfile::LongHaulPartition,
+            ],
+            vec![1],
+        )
+    } else {
+        (TopoProfile::all().to_vec(), vec![1, 2, 3])
     }
 }
 
-/// Deterministic, hand-rolled JSON for one outcome (stable field order —
-/// byte-identical for identical seeds).
-pub fn outcome_json(o: &TopoOutcome) -> String {
-    let delivered: Vec<String> = o.delivered.iter().map(|d| d.to_string()).collect();
-    let errs: Vec<String> = o.client_errors.iter().map(json_err).collect();
-    let viol: Vec<String> = o.violations.iter().map(|v| json_str(v)).collect();
-    let reconnect = match o.reconnect_ok {
-        None => "null".to_string(),
-        Some(b) => b.to_string(),
-    };
-    format!(
-        "{{\"profile\":{},\"topology\":{},\"stack\":{},\"seed\":{},\"payload\":{},\
-         \"delivered\":[{}],\"complete\":{},\"client_errors\":[{}],\"reconnect_ok\":{},\
-         \"reroutes\":{},\"max_rtx\":{},\"sim_ms\":{},\"static_check\":{},\"violations\":[{}]}}",
-        json_str(o.profile),
-        json_str(o.topology),
-        json_str(o.stack),
-        o.seed,
-        o.payload,
-        delivered.join(","),
-        o.complete,
-        errs.join(","),
-        reconnect,
-        o.reroutes,
-        o.max_rtx,
-        o.sim_ms,
-        o.static_check,
-        viol.join(",")
-    )
-}
+const KINDS: [Kind; 2] = [Kind::Sub, Kind::Mono];
 
-/// The whole sweep as one JSON document.
-pub fn summary_json(outs: &[TopoOutcome]) -> String {
-    let rows: Vec<String> = outs.iter().map(outcome_json).collect();
-    let violations: usize = outs.iter().map(|o| o.violations.len()).sum();
-    format!(
-        "{{\"campaigns\":[\n  {}\n],\"total\":{},\"violations\":{}}}",
-        rows.join(",\n  "),
-        outs.len(),
-        violations
-    )
-}
+/// E18: the standard sweep (`exp topology`).
+pub struct Topology;
 
-/// Run `profiles x stacks x seeds` in a fixed order (profile-major).
-pub fn run_sweep(profiles: &[TopoProfile], kinds: &[Kind], seeds: &[u64]) -> Vec<TopoOutcome> {
-    let mut outs = Vec::new();
-    for &p in profiles {
-        for &k in kinds {
-            for &seed in seeds {
-                outs.push(run_campaign(p, k, seed));
-            }
-        }
+impl Campaign for Topology {
+    type Cell = TopoOutcome;
+    type Sweep = Vec<TopoOutcome>;
+    const NAME: &'static str = "topology";
+
+    fn title(&self, smoke: bool) -> String {
+        let (profiles, seeds) = matrix(smoke);
+        let names: Vec<&str> = profiles.iter().map(|p| p.name()).collect();
+        format!(
+            "# E18 — Internet-in-a-box: {} topology campaigns\n\n\
+             Profiles: {}. Seeds: {seeds:?}. Both stacks, client keepalive 10s/2s/x5.",
+            profiles.len() * KINDS.len() * seeds.len(),
+            names.join(", ")
+        )
     }
-    outs
+
+    fn sweep(&self, smoke: bool) -> Vec<TopoOutcome> {
+        let (profiles, seeds) = matrix(smoke);
+        grid(&profiles, &KINDS, &seeds, run_campaign)
+    }
+
+    fn violations<'a>(&self, o: &'a TopoOutcome) -> &'a [String] {
+        &o.violations
+    }
+
+    fn row_json(&self, o: &TopoOutcome) -> String {
+        let delivered: Vec<u64> = o.delivered.iter().map(|&d| d as u64).collect();
+        let errs: Vec<String> = o.client_errors.iter().map(|&e| json::err(e)).collect();
+        let reconnect = o.reconnect_ok.map_or("null".to_string(), |b| b.to_string());
+        json::Object::default()
+            .str("profile", o.profile)
+            .str("topology", o.topology)
+            .str("stack", o.stack)
+            .field("seed", o.seed)
+            .field("payload", o.payload)
+            .field("delivered", json::arr(&delivered))
+            .field("complete", o.complete)
+            .field("client_errors", format!("[{}]", errs.join(",")))
+            .field("reconnect_ok", reconnect)
+            .field("reroutes", o.reroutes)
+            .field("max_rtx", o.max_rtx)
+            .field("sim_ms", o.sim_ms)
+            .field("static_check", o.static_check)
+            .field("violations", json::str_list(&o.violations))
+            .end()
+    }
+
+    fn headers(&self) -> &'static [&'static str] {
+        &[
+            "profile", "stack", "seed", "delivered", "client errs", "reconnect", "reroutes",
+            "max rtx", "sim s", "verdict",
+        ]
+    }
+
+    fn row(&self, o: &TopoOutcome) -> Vec<String> {
+        let errs: Vec<String> = o
+            .client_errors
+            .iter()
+            .map(|e| e.map_or("-".into(), |e| format!("{e:?}")))
+            .collect();
+        vec![
+            o.profile.to_string(),
+            o.stack.to_string(),
+            o.seed.to_string(),
+            format!(
+                "{}/{}",
+                o.delivered.iter().sum::<usize>(),
+                o.payload * o.delivered.len().max(1)
+            ),
+            errs.join(","),
+            o.reconnect_ok.map_or("-".into(), |b| b.to_string()),
+            o.reroutes.to_string(),
+            o.max_rtx.to_string(),
+            format!("{:.1}", o.sim_ms as f64 / 1000.0),
+            if o.ok() { "ok".into() } else { o.violations.join("; ") },
+        ]
+    }
 }
 
 #[cfg(test)]

@@ -13,8 +13,3 @@ pub use slcc::{
     make, BuggyDeflate, CcError, Cubic, FixedWindow, NewReno, RateBased, RateController,
     ALLOWANCE_FLOOR, MSS, SHIPPED,
 };
-
-/// The prior name for the shipped loss-halving controller. The shipped
-/// behavior is NewReno fast recovery (RFC 6582); `make("reno")` still
-/// works as an alias.
-pub type Reno = NewReno;

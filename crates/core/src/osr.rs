@@ -497,7 +497,7 @@ impl OsrDriver for BuggyOsr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cc::{FixedWindow, RateBased, Reno};
+    use crate::cc::{FixedWindow, NewReno, RateBased};
     use netsim::Dur;
 
     fn t(ms: u64) -> Time {
@@ -587,8 +587,8 @@ mod tests {
 
     #[test]
     fn ecn_echo_reaches_rate_controller() {
-        // Reno halves on ECN; observe allowance drop.
-        let mut o = Osr::new(Box::new(Reno::new()), slmetrics::shared());
+        // NewReno halves on ECN; observe allowance drop.
+        let mut o = Osr::new(Box::new(NewReno::new()), slmetrics::shared());
         let mut open = Packet::default();
         open.osr.rcv_wnd = u16::MAX;
         o.on_header(t(0), &open);

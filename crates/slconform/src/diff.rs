@@ -39,7 +39,7 @@ fn impaired(sc: &Scenario) -> bool {
 }
 
 /// The registered allowlist. Every entry documents *why* the divergence
-/// is benign; `exp_conform` reports per-entry hit counts so dead entries
+/// is benign; `exp conform` reports per-entry hit counts so dead entries
 /// are visible.
 pub fn allowlist() -> &'static [Allow] {
     &[

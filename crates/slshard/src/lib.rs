@@ -39,8 +39,8 @@
 //! `slverify::ShardedOverload` proves budget-never-exceeded for this
 //! shape per shard *and* globally, `slverify::ShardFail` proves
 //! crash-isolation (one shard's death costs only its own connections);
-//! `bench::shard` / `exp_shard` sweep it to 100k+ connections and
-//! `bench::failover` / `exp_failover` measure blast radius and recovery.
+//! `bench::shard` / `exp shard` sweep it to 100k+ connections and
+//! `bench::failover` / `exp failover` measure blast radius and recovery.
 
 pub mod fault;
 pub mod merge;

@@ -8,9 +8,8 @@
 //!   payloads never panic either stack — every run ends in delivery or a
 //!   surfaced abort, with only correct bytes delivered.
 
-use bench::chaos::{
-    run_campaign, run_raw, run_sweep, summary_json, ChaosProfile, ChaosStack,
-};
+use bench::campaign::Campaign;
+use bench::chaos::{run_campaign, run_raw, run_sweep, Chaos, ChaosProfile, ChaosStack};
 use netsim::{AdminOp, BurstLoss, Dur, FaultProfile, LinkParams, Time};
 
 #[test]
@@ -28,8 +27,8 @@ fn blackout_surfaces_abort_in_both_stacks() {
 #[test]
 fn identical_seeds_reproduce_identical_json() {
     let profiles = [ChaosProfile::Blackout, ChaosProfile::MixedMayhem];
-    let a = summary_json(&run_sweep(&profiles, &ChaosStack::all(), &[3]));
-    let b = summary_json(&run_sweep(&profiles, &ChaosStack::all(), &[3]));
+    let a = Chaos.summary(&run_sweep(&profiles, &ChaosStack::all(), &[3]), &[]);
+    let b = Chaos.summary(&run_sweep(&profiles, &ChaosStack::all(), &[3]), &[]);
     assert_eq!(a, b, "chaos campaigns must be replayable byte-for-byte");
     assert!(a.contains("\"violations\":0"));
 }
