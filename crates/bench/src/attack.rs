@@ -26,16 +26,16 @@ use netsim::{
     AttackCodec, AttackConfig, Attacker, DetRng, Dur, LinkParams, SeqKnowledge, SimNet,
     SnoopInfo, StackNode, Time, TransportError,
 };
+use slconform::driver::{ConformStack, Kind};
 use slmetrics::AttackCounters;
 use sublayer_core::wire::{CmFlags, CmHeader, DmHeader, OsrHeader, Packet, RdHeader};
-use sublayer_core::{CmState, SlConfig, SlTcpStack};
-use tcp_mono::pcb::TcpState;
-use tcp_mono::stack::TcpStack;
+use sublayer_core::SlTcpStack;
+use tcp_mono::stack::{Keepalive, TcpStack};
 use tcp_mono::wire::{Endpoint, Segment, ACK, RST, SYN};
 
 use crate::campaign::{grid, Campaign};
-use crate::chaos::{keepalive_mono, keepalive_sub};
-use crate::{json, A, B};
+use crate::chaos::STACKS;
+use crate::{json, stack_mut, A, B};
 
 /// Wall-clock (simulated) patience before declaring a run hung.
 const PATIENCE: Dur = Dur(600_000_000_000);
@@ -324,26 +324,6 @@ impl AttackProfile {
     }
 }
 
-/// Which transport a campaign exercises.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AttackStack {
-    Mono,
-    Sub,
-}
-
-impl AttackStack {
-    pub fn all() -> [AttackStack; 2] {
-        [AttackStack::Mono, AttackStack::Sub]
-    }
-
-    pub fn name(&self) -> &'static str {
-        match self {
-            AttackStack::Mono => "mono",
-            AttackStack::Sub => "sub",
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Outcome + judging
 // ---------------------------------------------------------------------------
@@ -442,27 +422,34 @@ fn link() -> LinkParams {
     LinkParams::delay_only(Dur::from_millis(5))
 }
 
+/// The attacker's wire knowledge for stack `kind`.
+fn codec(kind: Kind) -> Box<dyn AttackCodec> {
+    match kind {
+        Kind::Mono => Box::new(MonoCodec),
+        Kind::Sub => Box::new(SubCodec),
+    }
+}
+
 /// Run one `(profile, stack, seed)` campaign and judge its invariants.
-pub fn run_campaign(profile: AttackProfile, stack: AttackStack, seed: u64) -> AttackOutcome {
+pub fn run_campaign(profile: AttackProfile, stack: Kind, seed: u64) -> AttackOutcome {
     let payload: Vec<u8> = (0..PAYLOAD_LEN).map(|i| (i % 251) as u8).collect();
     match stack {
-        AttackStack::Mono => run_mono(profile, seed, &payload),
-        AttackStack::Sub => run_sub(profile, seed, &payload),
+        Kind::Mono => run_t::<TcpStack>(profile, seed, &payload),
+        Kind::Sub => run_t::<SlTcpStack>(profile, seed, &payload),
     }
 }
 
-fn run_mono(profile: AttackProfile, seed: u64, payload: &[u8]) -> AttackOutcome {
-    let mut c = TcpStack::new(A, slmetrics::shared());
-    let mut s = TcpStack::new(B, slmetrics::shared());
-    c.set_keepalive(keepalive_mono());
-    s.set_keepalive(keepalive_mono());
+/// Both endpoints run the campaigns' keepalive (10 s / 2 s / x5).
+fn run_t<H: ConformStack>(profile: AttackProfile, seed: u64, payload: &[u8]) -> AttackOutcome {
+    let mut c = H::mk_with(A, "newreno", Some(Keepalive::default()));
+    let mut s = H::mk_with(B, "newreno", Some(Keepalive::default()));
     s.listen(80);
-    let conn = c.connect(Time::ZERO, 5000, Endpoint::new(B, 80));
+    let conn = c.try_connect(Time::ZERO, 5000, Endpoint::new(B, 80)).expect("tuple free");
 
     let mut net = SimNet::new(seed);
     let nc = net.add_node(Box::new(StackNode::new(c)));
     let na = net.add_node(Box::new(Attacker::new(
-        Box::new(MonoCodec),
+        codec(H::KIND),
         profile.attack_config(),
         DetRng::new(seed ^ 0xA77A_C4E5),
     )));
@@ -472,7 +459,7 @@ fn run_mono(profile: AttackProfile, seed: u64, payload: &[u8]) -> AttackOutcome 
 
     net.poll_all();
     net.run_until(t(1_000));
-    let mut sent = net.node_mut::<StackNode<TcpStack>>(nc).stack.send(conn, payload);
+    let mut sent = stack_mut::<H>(&mut net, nc).send(conn, payload);
     net.poll_all();
 
     let deadline = net.now() + PATIENCE;
@@ -484,128 +471,10 @@ fn run_mono(profile: AttackProfile, seed: u64, payload: &[u8]) -> AttackOutcome 
         let step = net.now() + STEP;
         net.run_until(step);
         if sent < payload.len() {
-            sent += net
-                .node_mut::<StackNode<TcpStack>>(nc)
-                .stack
-                .send(conn, &payload[sent..]);
+            sent += stack_mut::<H>(&mut net, nc).send(conn, &payload[sent..]);
         }
         {
-            let st = &mut net.node_mut::<StackNode<TcpStack>>(ns).stack;
-            if sconn.is_none() {
-                sconn = st.established().first().copied();
-            }
-            if let Some(t) = sconn {
-                got.extend(st.recv(t));
-            }
-            max_half_open = max_half_open.max(st.half_open_count());
-            max_buffered = max_buffered.max(st.buffered_bytes());
-        }
-        max_buffered =
-            max_buffered.max(net.node::<StackNode<TcpStack>>(nc).stack.buffered_bytes());
-        net.poll_all();
-        if got.len() >= payload.len() {
-            break;
-        }
-        let client_dead = net.node::<StackNode<TcpStack>>(nc).stack.state(conn) == TcpState::Closed;
-        // No established server connection left (it may have been reset and
-        // reaped before we ever saw it) counts as a dead server side.
-        let server_dead = match sconn {
-            Some(t) => net.node::<StackNode<TcpStack>>(ns).stack.state(t) == TcpState::Closed,
-            None => net.node::<StackNode<TcpStack>>(ns).stack.established().is_empty(),
-        };
-        if client_dead && server_dead {
-            break;
-        }
-    }
-
-    let sim_ms = net.now().since(Time::ZERO).0 / 1_000_000;
-    let complete = got.len() >= payload.len();
-    if !complete {
-        net.run_until(net.now() + Dur::from_secs(120));
-    }
-    let d0 = net.link_dir_stats(0, 0);
-    let d1 = net.link_dir_stats(0, 1);
-    let e0 = net.link_dir_stats(1, 0);
-    let e1 = net.link_dir_stats(1, 1);
-    let wire_frames = d0.tx_frames + d1.tx_frames + e0.tx_frames + e1.tx_frames;
-    let client_error = net.node::<StackNode<TcpStack>>(nc).stack.conn_error(conn);
-    let server_error = sconn.and_then(|t| net.node::<StackNode<TcpStack>>(ns).stack.conn_error(t));
-
-    let atk = net.node::<Attacker>(na).stats;
-    let cs = net.node::<StackNode<TcpStack>>(nc).stack.stats.clone();
-    let ss = net.node::<StackNode<TcpStack>>(ns).stack.stats.clone();
-    let counters = AttackCounters {
-        forged_segments: atk.forged_total(),
-        challenge_acks: cs.challenge_acks + ss.challenge_acks,
-        syn_cookies_sent: cs.syn_cookies_sent + ss.syn_cookies_sent,
-        syn_cookies_validated: cs.syn_cookies_validated + ss.syn_cookies_validated,
-        half_open_evictions: cs.half_open_evictions + ss.half_open_evictions,
-        bad_frames_rejected: cs.bad_segments + ss.bad_segments,
-        overflow_drops: cs.ooo_overflow_drops + ss.ooo_overflow_drops,
-        invalid_seq_drops: cs.old_ack_drops + ss.old_ack_drops,
-    };
-
-    let out = AttackOutcome {
-        profile: profile.name(),
-        stack: AttackStack::Mono.name(),
-        seed,
-        payload: payload.len(),
-        delivered: got.len(),
-        complete,
-        client_error,
-        server_error,
-        sim_ms,
-        wire_frames,
-        max_half_open,
-        max_buffered,
-        counters,
-        violations: Vec::new(),
-    };
-    judge(profile, out, &got, payload)
-}
-
-fn run_sub(profile: AttackProfile, seed: u64, payload: &[u8]) -> AttackOutcome {
-    let cfg = SlConfig {
-        keepalive: Some(keepalive_sub()),
-        ..SlConfig::default()
-    };
-    let mut c = SlTcpStack::new(A, cfg.clone(), slmetrics::shared());
-    let mut s = SlTcpStack::new(B, cfg, slmetrics::shared());
-    s.listen(80);
-    let conn = c.connect(Time::ZERO, 5000, Endpoint::new(B, 80));
-
-    let mut net = SimNet::new(seed);
-    let nc = net.add_node(Box::new(StackNode::new(c)));
-    let na = net.add_node(Box::new(Attacker::new(
-        Box::new(SubCodec),
-        profile.attack_config(),
-        DetRng::new(seed ^ 0xA77A_C4E5),
-    )));
-    let ns = net.add_node(Box::new(StackNode::new(s)));
-    net.connect(nc, 0, na, 0, link());
-    net.connect(na, 1, ns, 0, link());
-
-    net.poll_all();
-    net.run_until(t(1_000));
-    let mut sent = net.node_mut::<StackNode<SlTcpStack>>(nc).stack.send(conn, payload);
-    net.poll_all();
-
-    let deadline = net.now() + PATIENCE;
-    let mut got: Vec<u8> = Vec::new();
-    let mut sconn = None;
-    let mut max_half_open = 0usize;
-    let mut max_buffered = 0usize;
-    while net.now() < deadline {
-        let step = net.now() + STEP;
-        net.run_until(step);
-        if sent < payload.len() {
-            sent += net
-                .node_mut::<StackNode<SlTcpStack>>(nc)
-                .stack
-                .send(conn, &payload[sent..]);
-        }
-        {
-            let st = &mut net.node_mut::<StackNode<SlTcpStack>>(ns).stack;
+            let st = stack_mut::<H>(&mut net, ns);
             if sconn.is_none() {
                 sconn = st.established().first().copied();
             }
@@ -615,18 +484,18 @@ fn run_sub(profile: AttackProfile, seed: u64, payload: &[u8]) -> AttackOutcome {
             max_half_open = max_half_open.max(st.half_open_count());
             max_buffered = max_buffered.max(st.buffered_bytes());
         }
-        max_buffered =
-            max_buffered.max(net.node::<StackNode<SlTcpStack>>(nc).stack.buffered_bytes());
+        max_buffered = max_buffered.max(stack_mut::<H>(&mut net, nc).buffered_bytes());
         net.poll_all();
         if got.len() >= payload.len() {
             break;
         }
-        let client_dead =
-            net.node::<StackNode<SlTcpStack>>(nc).stack.state(conn) == CmState::Closed;
-        // As in the mono runner: a reset-and-reaped server conn counts too.
+        let client_dead = stack_mut::<H>(&mut net, nc).is_closed(conn);
+        // No established server connection left (it may have been reset and
+        // reaped before we ever saw it) counts as a dead server side.
+        let st = stack_mut::<H>(&mut net, ns);
         let server_dead = match sconn {
-            Some(id) => net.node::<StackNode<SlTcpStack>>(ns).stack.state(id) == CmState::Closed,
-            None => net.node::<StackNode<SlTcpStack>>(ns).stack.established().is_empty(),
+            Some(id) => st.is_closed(id),
+            None => st.established().is_empty(),
         };
         if client_dead && server_dead {
             break;
@@ -643,39 +512,19 @@ fn run_sub(profile: AttackProfile, seed: u64, payload: &[u8]) -> AttackOutcome {
     let e0 = net.link_dir_stats(1, 0);
     let e1 = net.link_dir_stats(1, 1);
     let wire_frames = d0.tx_frames + d1.tx_frames + e0.tx_frames + e1.tx_frames;
-    let client_error = net.node::<StackNode<SlTcpStack>>(nc).stack.conn_error(conn);
-    let server_error =
-        sconn.and_then(|id| net.node::<StackNode<SlTcpStack>>(ns).stack.conn_error(id));
+    let client_error = stack_mut::<H>(&mut net, nc).conn_error(conn);
+    let server_error = sconn.and_then(|id| stack_mut::<H>(&mut net, ns).conn_error(id));
 
-    let atk = net.node::<Attacker>(na).stats;
-    // Receive-cap drops live in per-connection RD stats; read them before
-    // the stacks are dropped.
-    let (ooo_drops, seq_drops) = {
-        let sc = &net.node::<StackNode<SlTcpStack>>(nc).stack;
-        let ss = &net.node::<StackNode<SlTcpStack>>(ns).stack;
-        let crd = sc.rd_stats(conn).unwrap_or_default();
-        let srd = sconn.and_then(|id| ss.rd_stats(id)).unwrap_or_default();
-        (crd.ooo_range_drops + srd.ooo_range_drops,
-         crd.invalid_seq_drops + srd.invalid_seq_drops)
+    let mut counters = AttackCounters {
+        forged_segments: net.node::<Attacker>(na).stats.forged_total(),
+        ..AttackCounters::default()
     };
-    let cs = net.node::<StackNode<SlTcpStack>>(nc).stack.stats.clone();
-    let c_challenges = net.node::<StackNode<SlTcpStack>>(nc).stack.challenge_acks();
-    let s_challenges = net.node::<StackNode<SlTcpStack>>(ns).stack.challenge_acks();
-    let ss = net.node::<StackNode<SlTcpStack>>(ns).stack.stats.clone();
-    let counters = AttackCounters {
-        forged_segments: atk.forged_total(),
-        challenge_acks: c_challenges + s_challenges,
-        syn_cookies_sent: cs.syn_cookies_sent + ss.syn_cookies_sent,
-        syn_cookies_validated: cs.syn_cookies_validated + ss.syn_cookies_validated,
-        half_open_evictions: cs.half_open_evictions + ss.half_open_evictions,
-        bad_frames_rejected: cs.bad_packets + ss.bad_packets,
-        overflow_drops: ooo_drops,
-        invalid_seq_drops: seq_drops,
-    };
+    counters.absorb(&stack_mut::<H>(&mut net, nc).attack_counters(Some(conn)));
+    counters.absorb(&stack_mut::<H>(&mut net, ns).attack_counters(sconn));
 
     let out = AttackOutcome {
         profile: profile.name(),
-        stack: AttackStack::Sub.name(),
+        stack: H::KIND.label(),
         seed,
         payload: payload.len(),
         delivered: got.len(),
@@ -723,14 +572,14 @@ impl Campaign for Attack {
         format!(
             "# E14 — adversarial robustness: {} runs\n\n\
              Profiles: {}. Seeds: {seeds:?}. Both stacks behind the same attacker.",
-            profiles.len() * AttackStack::all().len() * seeds.len(),
+            profiles.len() * STACKS.len() * seeds.len(),
             names.join(", ")
         )
     }
 
     fn sweep(&self, smoke: bool) -> Vec<AttackOutcome> {
         let (profiles, seeds) = matrix(smoke);
-        grid(&profiles, &AttackStack::all(), &seeds, run_campaign)
+        grid(&profiles, &STACKS, &seeds, run_campaign)
     }
 
     fn violations<'a>(&self, o: &'a AttackOutcome) -> &'a [String] {

@@ -20,16 +20,15 @@
 //! produces a byte-identical JSON summary, which CI exploits.
 
 use netsim::{
-    two_party, AdminOp, BurstLoss, Dur, FaultProfile, LinkParams, StackNode, Time,
-    TransportError,
+    two_party, AdminOp, BurstLoss, Dur, FaultProfile, LinkParams, Time, TransportError,
 };
-use sublayer_core::{CmState, KeepaliveConfig, SlConfig, SlTcpStack};
+use slconform::driver::{ConformStack, Kind};
+use sublayer_core::SlTcpStack;
 use tcp_mono::stack::{Keepalive, TcpStack};
-use tcp_mono::pcb::TcpState;
 use tcp_mono::wire::Endpoint;
 
 use crate::campaign::{grid, Campaign};
-use crate::{json, A, B};
+use crate::{json, stack_mut, A, B};
 
 /// How long (simulated) a campaign may run before we declare a hang.
 const PATIENCE: Dur = Dur(600_000_000_000);
@@ -133,25 +132,8 @@ impl ChaosProfile {
     }
 }
 
-/// Which transport a campaign exercises.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChaosStack {
-    Mono,
-    Sub,
-}
-
-impl ChaosStack {
-    pub fn all() -> [ChaosStack; 2] {
-        [ChaosStack::Mono, ChaosStack::Sub]
-    }
-
-    pub fn name(&self) -> &'static str {
-        match self {
-            ChaosStack::Mono => "mono",
-            ChaosStack::Sub => "sub",
-        }
-    }
-}
+/// The stacks every chaos and attack sweep runs, in row order.
+pub const STACKS: [Kind; 2] = [Kind::Mono, Kind::Sub];
 
 /// One campaign's result plus any invariant violations.
 #[derive(Clone, Debug)]
@@ -176,27 +158,8 @@ impl CampaignOutcome {
     }
 }
 
-/// The campaigns' keepalive (chaos, attack and topology clients):
-/// 10 s idle, then a probe every 2 s, abort after 5 unanswered.
-pub(crate) fn keepalive_mono() -> Keepalive {
-    Keepalive {
-        idle: Dur::from_secs(10),
-        interval: Dur::from_secs(2),
-        max_probes: 5,
-    }
-}
-
-/// [`keepalive_mono`] for the sublayered stack.
-pub(crate) fn keepalive_sub() -> KeepaliveConfig {
-    KeepaliveConfig {
-        idle: Dur::from_secs(10),
-        interval: Dur::from_secs(2),
-        max_probes: 5,
-    }
-}
-
 /// Run one `(profile, stack, seed)` campaign and judge its invariants.
-pub fn run_campaign(profile: ChaosProfile, stack: ChaosStack, seed: u64) -> CampaignOutcome {
+pub fn run_campaign(profile: ChaosProfile, stack: Kind, seed: u64) -> CampaignOutcome {
     let payload: Vec<u8> = (0..profile.payload_len())
         .map(|i| (i % 251) as u8)
         .collect();
@@ -216,7 +179,7 @@ pub fn run_campaign(profile: ChaosProfile, stack: ChaosStack, seed: u64) -> Camp
 /// Only the universal invariants (hang, integrity, bounded retransmits,
 /// post-abort idleness) are checked.
 pub fn run_raw(
-    stack: ChaosStack,
+    stack: Kind,
     seed: u64,
     payload: &[u8],
     params: LinkParams,
@@ -224,8 +187,8 @@ pub fn run_raw(
     name: &'static str,
 ) -> CampaignOutcome {
     match stack {
-        ChaosStack::Mono => run_mono(seed, payload, params, ops, name),
-        ChaosStack::Sub => run_sub(seed, payload, params, ops, name),
+        Kind::Mono => run_t::<TcpStack>(seed, payload, params, ops, name),
+        Kind::Sub => run_t::<SlTcpStack>(seed, payload, params, ops, name),
     }
 }
 
@@ -273,19 +236,19 @@ fn judge(profile: ChaosProfile, mut out: CampaignOutcome) -> CampaignOutcome {
     out
 }
 
-fn run_mono(
+/// Both endpoints run the campaigns' keepalive (10 s idle, then a probe
+/// every 2 s, abort after 5 unanswered).
+fn run_t<H: ConformStack>(
     seed: u64,
     payload: &[u8],
     params: LinkParams,
     ops: &[(Time, AdminOp)],
     name: &'static str,
 ) -> CampaignOutcome {
-    let mut c = TcpStack::new(A, slmetrics::shared());
-    let mut s = TcpStack::new(B, slmetrics::shared());
-    c.set_keepalive(keepalive_mono());
-    s.set_keepalive(keepalive_mono());
+    let mut c = H::mk_with(A, "newreno", Some(Keepalive::default()));
+    let mut s = H::mk_with(B, "newreno", Some(Keepalive::default()));
     s.listen(80);
-    let conn = c.connect(Time::ZERO, 5000, Endpoint::new(B, 80));
+    let conn = c.try_connect(Time::ZERO, 5000, Endpoint::new(B, 80)).expect("tuple free");
     let (mut net, nc, ns) = two_party(seed, c, s, params);
     for (at, op) in ops {
         net.schedule_admin(*at, op.clone());
@@ -294,7 +257,7 @@ fn run_mono(
     net.run_until(Time::ZERO + Dur::from_secs(1));
     // The app streams: offer the unsent tail every tick, so a handshake
     // delayed past t=1s (or a full send buffer) only defers the data.
-    let mut sent = net.node_mut::<StackNode<TcpStack>>(nc).stack.send(conn, payload);
+    let mut sent = stack_mut::<H>(&mut net, nc).send(conn, payload);
     net.poll_all();
 
     let deadline = net.now() + PATIENCE;
@@ -304,28 +267,23 @@ fn run_mono(
         let step = net.now() + STEP;
         net.run_until(step);
         if sent < payload.len() {
-            sent += net
-                .node_mut::<StackNode<TcpStack>>(nc)
-                .stack
-                .send(conn, &payload[sent..]);
+            sent += stack_mut::<H>(&mut net, nc).send(conn, &payload[sent..]);
         }
         {
-            let st = &mut net.node_mut::<StackNode<TcpStack>>(ns).stack;
+            let st = stack_mut::<H>(&mut net, ns);
             if sconn.is_none() {
                 sconn = st.established().first().copied();
             }
-            if let Some(t) = sconn {
-                got.extend(st.recv(t));
+            if let Some(id) = sconn {
+                got.extend(st.recv(id));
             }
         }
         net.poll_all();
         if got.len() >= payload.len() {
             break;
         }
-        let client = &net.node::<StackNode<TcpStack>>(nc).stack;
-        let client_dead = client.state(conn) == TcpState::Closed;
-        let server_dead = sconn
-            .is_some_and(|t| net.node::<StackNode<TcpStack>>(ns).stack.state(t) == TcpState::Closed);
+        let client_dead = stack_mut::<H>(&mut net, nc).is_closed(conn);
+        let server_dead = sconn.is_some_and(|id| stack_mut::<H>(&mut net, ns).is_closed(id));
         if client_dead && server_dead {
             break;
         }
@@ -344,104 +302,11 @@ fn run_mono(
     let d1 = net.link_dir_stats(0, 1);
     let wire_frames = d0.tx_frames + d1.tx_frames;
     let partition_drops = d0.partition_drops + d1.partition_drops;
-    let client_error = net.node::<StackNode<TcpStack>>(nc).stack.conn_error(conn);
-    let server_error =
-        sconn.and_then(|t| net.node::<StackNode<TcpStack>>(ns).stack.conn_error(t));
+    let client_error = stack_mut::<H>(&mut net, nc).conn_error(conn);
+    let server_error = sconn.and_then(|id| stack_mut::<H>(&mut net, ns).conn_error(id));
     let mut out = CampaignOutcome {
         profile: name,
-        stack: ChaosStack::Mono.name(),
-        seed,
-        payload: payload.len(),
-        delivered: got.len(),
-        complete,
-        client_error,
-        server_error,
-        sim_ms,
-        wire_frames,
-        partition_drops,
-        violations: Vec::new(),
-    };
-    check_universal(&mut out, idle, &got, payload);
-    out
-}
-
-fn run_sub(
-    seed: u64,
-    payload: &[u8],
-    params: LinkParams,
-    ops: &[(Time, AdminOp)],
-    name: &'static str,
-) -> CampaignOutcome {
-    let cfg = SlConfig {
-        keepalive: Some(keepalive_sub()),
-        ..SlConfig::default()
-    };
-    let mut c = SlTcpStack::new(A, cfg.clone(), slmetrics::shared());
-    let mut s = SlTcpStack::new(B, cfg, slmetrics::shared());
-    s.listen(80);
-    let conn = c.connect(Time::ZERO, 5000, Endpoint::new(B, 80));
-    let (mut net, nc, ns) = two_party(seed, c, s, params);
-    for (at, op) in ops {
-        net.schedule_admin(*at, op.clone());
-    }
-    net.poll_all();
-    net.run_until(Time::ZERO + Dur::from_secs(1));
-    // Stream like the mono runner: offer the unsent tail every tick.
-    let mut sent = net.node_mut::<StackNode<SlTcpStack>>(nc).stack.send(conn, payload);
-    net.poll_all();
-
-    let deadline = net.now() + PATIENCE;
-    let mut got: Vec<u8> = Vec::new();
-    let mut sconn = None;
-    while net.now() < deadline {
-        let step = net.now() + STEP;
-        net.run_until(step);
-        if sent < payload.len() {
-            sent += net
-                .node_mut::<StackNode<SlTcpStack>>(nc)
-                .stack
-                .send(conn, &payload[sent..]);
-        }
-        {
-            let st = &mut net.node_mut::<StackNode<SlTcpStack>>(ns).stack;
-            if sconn.is_none() {
-                sconn = st.established().first().copied();
-            }
-            if let Some(id) = sconn {
-                got.extend(st.recv(id));
-            }
-        }
-        net.poll_all();
-        if got.len() >= payload.len() {
-            break;
-        }
-        let client_dead =
-            net.node::<StackNode<SlTcpStack>>(nc).stack.state(conn) == CmState::Closed;
-        let server_dead = sconn.is_some_and(|id| {
-            net.node::<StackNode<SlTcpStack>>(ns).stack.state(id) == CmState::Closed
-        });
-        if client_dead && server_dead {
-            break;
-        }
-    }
-
-    let sim_ms = net.now().since(Time::ZERO).0 / 1_000_000;
-    let complete = got.len() >= payload.len();
-    if !complete {
-        let settle = net.now() + Dur::from_secs(120);
-        net.run_until(settle);
-    }
-    let idle = net.is_idle();
-    let d0 = net.link_dir_stats(0, 0);
-    let d1 = net.link_dir_stats(0, 1);
-    let wire_frames = d0.tx_frames + d1.tx_frames;
-    let partition_drops = d0.partition_drops + d1.partition_drops;
-    let client_error = net.node::<StackNode<SlTcpStack>>(nc).stack.conn_error(conn);
-    let server_error =
-        sconn.and_then(|id| net.node::<StackNode<SlTcpStack>>(ns).stack.conn_error(id));
-    let mut out = CampaignOutcome {
-        profile: name,
-        stack: ChaosStack::Sub.name(),
+        stack: H::KIND.label(),
         seed,
         payload: payload.len(),
         delivered: got.len(),
@@ -461,7 +326,7 @@ fn run_sub(
 /// order (profile-major, then stack, then seed).
 pub fn run_sweep(
     profiles: &[ChaosProfile],
-    stacks: &[ChaosStack],
+    stacks: &[Kind],
     seeds: &[u64],
 ) -> Vec<CampaignOutcome> {
     grid(profiles, stacks, seeds, run_campaign)
@@ -491,14 +356,14 @@ impl Campaign for Chaos {
         format!(
             "# E-chaos — fault campaigns: {} runs\n\n\
              Profiles: {}. Seeds: {seeds:?}. Both stacks, keepalive 10s/2s/x5.",
-            profiles.len() * ChaosStack::all().len() * seeds.len(),
+            profiles.len() * STACKS.len() * seeds.len(),
             names.join(", ")
         )
     }
 
     fn sweep(&self, smoke: bool) -> Vec<CampaignOutcome> {
         let (profiles, seeds) = matrix(smoke);
-        run_sweep(&profiles, &ChaosStack::all(), &seeds)
+        run_sweep(&profiles, &STACKS, &seeds)
     }
 
     fn violations<'a>(&self, o: &'a CampaignOutcome) -> &'a [String] {

@@ -31,13 +31,13 @@ use slshard::{
     mute_injected_panics, FaultEvent, FaultEventKind, FaultKind, FaultSpec, Mode,
     RestartPolicy, ShardFaultPlan, ShardHealth, ShardedConfig, ShardedHost,
 };
-use sublayer_core::{KeepaliveConfig, SlConfig, SlTcpStack};
+use slconform::driver::{ConformStack, Kind};
+use sublayer_core::SlTcpStack;
 use tcp_mono::hash::shard_of;
 use tcp_mono::stack::{Keepalive, TcpStack};
 use tcp_mono::wire::{Endpoint, FourTuple};
 
 use crate::campaign::Campaign;
-use crate::scale::ScaleStack;
 use crate::shard::mode_label;
 use crate::{dur, json};
 
@@ -256,7 +256,7 @@ impl<S: HostStack> Stack for FailoverClient<S> {
 /// One cell of the sweep.
 #[derive(Clone, Copy, Debug)]
 pub struct FailoverParams {
-    pub stack: ScaleStack,
+    pub stack: Kind,
     pub mode: Mode,
     pub shards: usize,
     pub n: usize,
@@ -330,20 +330,13 @@ struct RunData {
     sim_ms: u64,
 }
 
-fn run_net<S, F, G>(
+fn run_net<S: ConformStack>(
     p: FailoverParams,
     policy: RestartPolicy,
     plan: Option<&ShardFaultPlan>,
     retries: usize,
     horizon: Time,
-    mk_server: F,
-    mk_client: &G,
-) -> RunData
-where
-    S: HostStack,
-    F: Fn(u32) -> S + Send + Sync + 'static,
-    G: Fn(u32) -> S,
-{
+) -> RunData {
     mute_injected_panics();
     let per_shard_conns = (p.n / p.shards.max(1)) * 2 + 1024;
     let host_cfg = HostConfig {
@@ -364,7 +357,7 @@ where
         ..ShardedConfig::default()
     };
     let mut server: ShardedHost<S, EchoApp> = ShardedHost::new(cfg, move |_shard| {
-        ServedHost::new(Host::new(mk_server(SERVER_ADDR), host_cfg.clone()), EchoApp::default())
+        ServedHost::new(Host::new(S::mk(SERVER_ADDR), host_cfg.clone()), EchoApp::default())
     });
     if let Some(plan) = plan {
         server.apply_plan(plan);
@@ -376,7 +369,7 @@ where
             let (home, ports) = home_ports(p.seed, caddr, p.shards, retries + 1);
             homes.push(home);
             FailoverClient::new(
-                mk_client(caddr),
+                S::mk_with(caddr, "newreno", Some(Keepalive::default())),
                 Time(1_000_000 + STAGGER_NS * i as u64),
                 request(i),
                 ports,
@@ -422,48 +415,17 @@ where
 /// shard's panic armed, compared client by client.
 pub fn run_one(p: FailoverParams) -> FailoverOutcome {
     match p.stack {
-        ScaleStack::Sub => run_cell(
-            p,
-            |addr| SlTcpStack::new(addr, SlConfig::default(), slmetrics::muted()),
-            |addr| {
-                let cfg = SlConfig {
-                    keepalive: Some(KeepaliveConfig {
-                        idle: Dur::from_secs(10),
-                        interval: Dur::from_secs(2),
-                        max_probes: 5,
-                    }),
-                    ..SlConfig::default()
-                };
-                SlTcpStack::new(addr, cfg, slmetrics::muted())
-            },
-        ),
-        ScaleStack::Mono => run_cell(
-            p,
-            |addr| TcpStack::new(addr, slmetrics::muted()),
-            |addr| {
-                let mut s = TcpStack::new(addr, slmetrics::muted());
-                s.set_keepalive(Keepalive {
-                    idle: Dur::from_secs(10),
-                    interval: Dur::from_secs(2),
-                    max_probes: 5,
-                });
-                s
-            },
-        ),
+        Kind::Sub => run_cell::<SlTcpStack>(p),
+        Kind::Mono => run_cell::<TcpStack>(p),
     }
 }
 
-fn run_cell<S, F, G>(p: FailoverParams, mk_server: F, mk_client: G) -> FailoverOutcome
-where
-    S: HostStack,
-    F: Fn(u32) -> S + Send + Sync + Copy + 'static,
-    G: Fn(u32) -> S,
-{
+fn run_cell<S: ConformStack>(p: FailoverParams) -> FailoverOutcome {
     let policy = if p.restart { RestartPolicy::default() } else { RestartPolicy::never() };
     let retries = if p.restart { RETRIES } else { 0 };
     let horizon = Time(if p.restart { RESTART_HORIZON_NS } else { NEVER_HORIZON_NS });
 
-    let baseline = run_net(p, policy, None, retries, horizon, mk_server, &mk_client);
+    let baseline = run_net::<S>(p, policy, None, retries, horizon);
     // The victim is client 0's home shard; its panic is armed 40% into
     // the rounds the baseline run gave that shard — mid-traffic, with
     // connections established and echoes in flight.
@@ -472,7 +434,7 @@ where
     let plan = ShardFaultPlan {
         faults: vec![(victim as u32, FaultSpec { at_round: crash_round, kind: FaultKind::Panic })],
     };
-    let faulted = run_net(p, policy, Some(&plan), retries, horizon, mk_server, &mk_client);
+    let faulted = run_net::<S>(p, policy, Some(&plan), retries, horizon);
 
     let victims = faulted.clients.iter().filter(|c| c.home == victim).count();
     let victims_completed =
@@ -509,10 +471,7 @@ where
     let recovery_rounds = restarted_at_round.saturating_sub(crashed_at_round);
 
     let mut out = FailoverOutcome {
-        stack: match p.stack {
-            ScaleStack::Sub => "sub",
-            ScaleStack::Mono => "mono",
-        },
+        stack: p.stack.label(),
         mode: mode_label(p.mode),
         policy: if p.restart { "restart" } else { "never" },
         shards: p.shards,
@@ -657,7 +616,7 @@ impl Campaign for Failover {
     /// stacks × both policies × shards {2, 4, 8}, threaded, n=200 — the
     /// blast-radius-vs-shard-count table.
     fn sweep(&self, smoke: bool) -> Vec<FailoverOutcome> {
-        let stacks = [ScaleStack::Sub, ScaleStack::Mono];
+        let stacks = [Kind::Sub, Kind::Mono];
         let mut outs = Vec::new();
         if smoke {
             for stack in stacks {

@@ -30,7 +30,7 @@
 //! byte-identical JSON row (`BENCH_fairness.json` is committed).
 
 use crate::campaign::{grid, Campaign};
-use crate::json;
+use crate::{json, stack_mut};
 use crate::topology::attribute;
 use netlayer::{box_host_addr, topo_fanin, BoxNet};
 use netsim::{Dur, LinkParams, NodeId, SimNet, StackNode, Time};
@@ -38,7 +38,7 @@ use slconform::driver::{ConformStack, Kind};
 use slconform::multihop::mh_pattern;
 use slconform::natcodec::peek_for;
 use slmetrics::CcCounters;
-use sublayer_core::{SlConfig, SlTcpStack};
+use sublayer_core::SlTcpStack;
 use tcp_mono::stack::TcpStack;
 use tcp_mono::wire::Endpoint;
 
@@ -59,33 +59,6 @@ pub const COLLAPSE_FLOOR_PCT: u64 = 70;
 /// rate-based and fixed-window controllers have no loss response, so
 /// fan-in overload is outside their contract).
 pub const CONTROLLERS: [&str; 2] = ["newreno", "cubic"];
-
-/// What the fairness driver needs beyond [`ConformStack`]: construction
-/// with an explicit controller (exercising each stack's validated CC
-/// swap surface) and per-connection [`CcCounters`] readout.
-pub trait FairStack: ConformStack {
-    fn mk_cc(addr: u32, cc: &'static str) -> Self;
-    fn conn_cc_of(&self, id: Self::ConnId) -> Option<CcCounters>;
-}
-
-impl FairStack for SlTcpStack {
-    fn mk_cc(addr: u32, cc: &'static str) -> Self {
-        let cfg = SlConfig { cc, ..SlConfig::default() };
-        SlTcpStack::try_new(addr, cfg, slmetrics::shared()).expect("shipped controller")
-    }
-    fn conn_cc_of(&self, id: Self::ConnId) -> Option<CcCounters> {
-        self.conn_cc(id)
-    }
-}
-
-impl FairStack for TcpStack {
-    fn mk_cc(addr: u32, cc: &'static str) -> Self {
-        TcpStack::with_cc(addr, cc, slmetrics::shared()).expect("shipped controller")
-    }
-    fn conn_cc_of(&self, id: Self::ConnId) -> Option<CcCounters> {
-        self.conn_cc(id)
-    }
-}
 
 /// One fairness campaign's measurements plus any gated violations.
 #[derive(Clone, Debug)]
@@ -150,11 +123,7 @@ pub fn run_fairness_with(
     }
 }
 
-fn stack_mut<H: FairStack>(net: &mut SimNet, id: NodeId) -> &mut H {
-    &mut net.node_mut::<StackNode<H>>(id).stack
-}
-
-fn run_f<H: FairStack>(cc: &'static str, seed: u64, horizon_secs: u64) -> FairnessOutcome {
+fn run_f<H: ConformStack>(cc: &'static str, seed: u64, horizon_secs: u64) -> FairnessOutcome {
     let topo = topo_fanin();
     let mut net = SimNet::new(seed);
     let bn: BoxNet = topo.build(&mut net, peek_for(H::KIND));
@@ -164,12 +133,12 @@ fn run_f<H: FairStack>(cc: &'static str, seed: u64, horizon_secs: u64) -> Fairne
 
     let server_site = bn.topo.hosts.len() - 1;
     let saddr = box_host_addr(server_site);
-    let mut server = H::mk_cc(saddr, cc);
+    let mut server = H::mk_with(saddr, cc, None);
     server.listen(SERVER_PORT);
 
     let mut clients: Vec<(NodeId, H::ConnId)> = Vec::new();
     for i in 0..FLOWS {
-        let mut c = H::mk_cc(box_host_addr(i), cc);
+        let mut c = H::mk_with(box_host_addr(i), cc, None);
         let conn = c
             .try_connect(Time::ZERO, 5000 + i as u16, Endpoint::new(saddr, SERVER_PORT))
             .expect("client connect");
@@ -229,7 +198,7 @@ fn run_f<H: FairStack>(cc: &'static str, seed: u64, horizon_secs: u64) -> Fairne
         .iter()
         .map(|&(node, conn)| {
             let st = stack_mut::<H>(&mut net, node);
-            if let Some(c) = st.conn_cc_of(conn) {
+            if let Some(c) = st.conn_cc(conn) {
                 counters.absorb(&c);
             }
             st.conn_error(conn)

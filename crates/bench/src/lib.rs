@@ -17,7 +17,7 @@ pub mod scale;
 pub mod shard;
 pub mod topology;
 
-use netsim::{two_party, Dur, FaultProfile, LinkParams, StackNode, Time};
+use netsim::{two_party, Dur, FaultProfile, LinkParams, NodeId, SimNet, Stack, StackNode, Time};
 use sublayer_core::shim::ShimStack;
 use sublayer_core::{CmScheme, SlConfig, SlTcpStack};
 use tcp_mono::stack::TcpStack;
@@ -25,6 +25,11 @@ use tcp_mono::wire::Endpoint;
 
 pub const A: u32 = 0x0A000001;
 pub const B: u32 = 0x0A000002;
+
+/// The stack `S` that simulator node `id` runs.
+pub(crate) fn stack_mut<S: Stack>(net: &mut SimNet, id: NodeId) -> &mut S {
+    &mut net.node_mut::<StackNode<S>>(id).stack
+}
 
 /// Which transport runs on each side of a transfer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -35,7 +35,8 @@ use slhost::{
     TimerMode,
 };
 use std::collections::HashMap;
-use sublayer_core::{SlConfig, SlTcpStack};
+use slconform::driver::{ConformStack, Kind};
+use sublayer_core::SlTcpStack;
 use tcp_mono::stack::TcpStack;
 use tcp_mono::wire::Endpoint;
 
@@ -70,22 +71,6 @@ fn request(i: usize) -> Vec<u8> {
     (0..REQ_LEN).map(|j| ((i * 31 + j) % 251) as u8).collect()
 }
 
-/// Which transport serves (and runs in) every node of a run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OverloadStack {
-    Sub,
-    Mono,
-}
-
-impl OverloadStack {
-    pub fn label(self) -> &'static str {
-        match self {
-            OverloadStack::Sub => "sub",
-            OverloadStack::Mono => "mono",
-        }
-    }
-}
-
 /// The four campaign shapes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Profile {
@@ -110,7 +95,7 @@ impl Profile {
 #[derive(Clone, Copy, Debug)]
 pub struct OverloadParams {
     pub profile: Profile,
-    pub stack: OverloadStack,
+    pub stack: Kind,
     pub seed: u64,
 }
 
@@ -469,20 +454,12 @@ impl<S: HostStack> Stack for OverloadClient<S> {
 /// Run one cell of the sweep.
 pub fn run_one(p: OverloadParams) -> OverloadOutcome {
     match p.stack {
-        OverloadStack::Sub => run_generic(p, |addr| {
-            let cfg = SlConfig { keepalive: None, ..SlConfig::default() };
-            SlTcpStack::new(addr, cfg, slmetrics::shared())
-        }),
-        OverloadStack::Mono => {
-            run_generic(p, |addr| TcpStack::new(addr, slmetrics::shared()))
-        }
+        Kind::Sub => run_t::<SlTcpStack>(p),
+        Kind::Mono => run_t::<TcpStack>(p),
     }
 }
 
-fn run_generic<S: HostStack>(
-    p: OverloadParams,
-    mk: impl Fn(u32) -> S,
-) -> OverloadOutcome {
+fn run_t<S: ConformStack>(p: OverloadParams) -> OverloadOutcome {
     let spec = p.profile.spec();
     let n = spec.arrivals.len();
     let cfg = HostConfig {
@@ -494,7 +471,7 @@ fn run_generic<S: HostStack>(
         ..HostConfig::default()
     };
     let server =
-        ServedHost::new(Host::new(mk(SERVER_ADDR), cfg), RespApp::new(spec.resp_len));
+        ServedHost::new(Host::new(S::mk(SERVER_ADDR), cfg), RespApp::new(spec.resp_len));
     let clients: Vec<OverloadClient<S>> = spec
         .arrivals
         .iter()
@@ -502,7 +479,7 @@ fn run_generic<S: HostStack>(
         .map(|(i, &at)| {
             let slow = i < spec.n_slow;
             OverloadClient::new(
-                mk(CLIENT_BASE + i as u32),
+                S::mk(CLIENT_BASE + i as u32),
                 Endpoint::new(SERVER_ADDR, PORT),
                 at,
                 request(i),
@@ -749,7 +726,7 @@ impl Campaign for Overload {
         let seeds: &[u64] = if smoke { &[1] } else { &[1, 2] };
         let mut outs = Vec::new();
         for &seed in seeds {
-            for stack in [OverloadStack::Sub, OverloadStack::Mono] {
+            for stack in [Kind::Sub, Kind::Mono] {
                 for profile in
                     [Profile::Baseline, Profile::Flood, Profile::Slowloris, Profile::Drain]
                 {

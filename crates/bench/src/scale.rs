@@ -15,11 +15,10 @@
 //! connections with zero refusals, and the host table drains to empty
 //! after the clients close.
 
-use netsim::{
-    LinkParams, MultiStackNode, Stack, StackNode, Time, TransportError,
-};
+use netsim::{Dur, LinkParams, MultiStackNode, Stack, StackNode, Time, TransportError};
 use slhost::{EchoApp, Host, HostConfig, HostStack, ServedHost, TimerMode};
-use sublayer_core::{KeepaliveConfig, SlConfig, SlTcpStack};
+use slconform::driver::{ConformStack, Kind};
+use sublayer_core::SlTcpStack;
 use tcp_mono::stack::{Keepalive, TcpStack};
 use tcp_mono::wire::Endpoint;
 
@@ -40,25 +39,11 @@ const STAGGER_NS: u64 = 200_000;
 const LINGER_NS: u64 = 10_000_000_000;
 /// Keepalive on both sides: every established connection keeps a timer
 /// armed for the whole linger phase.
-const KA_IDLE_NS: u64 = 5_000_000_000;
-const KA_INTERVAL_NS: u64 = 1_000_000_000;
-const KA_MAX_PROBES: u32 = 5;
-
-/// Which transport serves (and runs in) every node of a run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ScaleStack {
-    Sub,
-    Mono,
-}
-
-impl ScaleStack {
-    pub fn label(self) -> &'static str {
-        match self {
-            ScaleStack::Sub => "sub",
-            ScaleStack::Mono => "mono",
-        }
-    }
-}
+const KEEPALIVE: Keepalive = Keepalive {
+    idle: Dur(5_000_000_000),
+    interval: Dur(1_000_000_000),
+    max_probes: 5,
+};
 
 fn timer_label(mode: TimerMode) -> &'static str {
     match mode {
@@ -70,7 +55,7 @@ fn timer_label(mode: TimerMode) -> &'static str {
 /// One cell of the sweep.
 #[derive(Clone, Copy, Debug)]
 pub struct ScaleParams {
-    pub stack: ScaleStack,
+    pub stack: Kind,
     pub timer_mode: TimerMode,
     pub n: usize,
     pub seed: u64,
@@ -296,30 +281,13 @@ fn request(i: usize) -> Vec<u8> {
 /// Run one cell of the sweep.
 pub fn run_one(p: ScaleParams) -> ScaleOutcome {
     match p.stack {
-        ScaleStack::Sub => run_generic(p, |addr| {
-            let cfg = SlConfig {
-                keepalive: Some(KeepaliveConfig {
-                    idle: dur(KA_IDLE_NS),
-                    interval: dur(KA_INTERVAL_NS),
-                    max_probes: KA_MAX_PROBES,
-                }),
-                ..SlConfig::default()
-            };
-            SlTcpStack::new(addr, cfg, slmetrics::shared())
-        }),
-        ScaleStack::Mono => run_generic(p, |addr| {
-            let mut s = TcpStack::new(addr, slmetrics::shared());
-            s.set_keepalive(Keepalive {
-                idle: dur(KA_IDLE_NS),
-                interval: dur(KA_INTERVAL_NS),
-                max_probes: KA_MAX_PROBES,
-            });
-            s
-        }),
+        Kind::Sub => run_t::<SlTcpStack>(p),
+        Kind::Mono => run_t::<TcpStack>(p),
     }
 }
 
-fn run_generic<S: HostStack>(p: ScaleParams, mk: impl Fn(u32) -> S) -> ScaleOutcome {
+fn run_t<S: ConformStack>(p: ScaleParams) -> ScaleOutcome {
+    let mk = |addr| S::mk_with(addr, "newreno", Some(KEEPALIVE));
     let cfg = HostConfig {
         listen_port: PORT,
         backlog: 256,
@@ -494,7 +462,7 @@ impl Campaign for Scale {
     /// baseline at N ∈ {100, 1000} (quadratic — N=5000 naive is the point
     /// of not having a wheel, so it is not run).
     fn sweep(&self, smoke: bool) -> Vec<ScaleOutcome> {
-        let stacks = [ScaleStack::Sub, ScaleStack::Mono];
+        let stacks = [Kind::Sub, Kind::Mono];
         let mut outs = Vec::new();
         if smoke {
             for stack in stacks {

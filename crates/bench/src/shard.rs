@@ -24,14 +24,15 @@
 use netsim::{
     HeavyTailed, LinkParams, MultiStackNode, SimNet, StackNode, Time, TransportError,
 };
-use slhost::{EchoApp, Host, HostConfig, HostStack, ResourceBudget, ServedHost};
+use slhost::{EchoApp, Host, HostConfig, ResourceBudget, ServedHost};
 use slshard::{Mode, ShardedConfig, ShardedHost};
-use sublayer_core::{SlConfig, SlTcpStack};
+use slconform::driver::{ConformStack, Kind};
+use sublayer_core::SlTcpStack;
 use tcp_mono::stack::TcpStack;
 use tcp_mono::wire::Endpoint;
 
 use crate::campaign::Campaign;
-use crate::scale::{ScaleClient, ScaleStack};
+use crate::scale::ScaleClient;
 use crate::{dur, json};
 
 const SERVER_ADDR: u32 = crate::A;
@@ -62,7 +63,7 @@ pub(crate) fn mode_label(m: Mode) -> &'static str {
 /// One cell of the sweep.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardParams {
-    pub stack: ScaleStack,
+    pub stack: Kind,
     pub mode: Mode,
     pub shards: usize,
     pub n: usize,
@@ -139,20 +140,12 @@ fn request(sizes: &HeavyTailed, i: usize) -> Vec<u8> {
 /// Run one cell of the sweep.
 pub fn run_one(p: ShardParams) -> ShardOutcome {
     match p.stack {
-        ScaleStack::Sub => run_generic(p, |addr| {
-            SlTcpStack::new(addr, SlConfig::default(), slmetrics::muted())
-        }),
-        ScaleStack::Mono => {
-            run_generic(p, |addr| TcpStack::new(addr, slmetrics::muted()))
-        }
+        Kind::Sub => run_t::<SlTcpStack>(p),
+        Kind::Mono => run_t::<TcpStack>(p),
     }
 }
 
-fn run_generic<S, F>(p: ShardParams, mk: F) -> ShardOutcome
-where
-    S: HostStack,
-    F: Fn(u32) -> S + Send + Sync + Copy + 'static,
-{
+fn run_t<S: ConformStack>(p: ShardParams) -> ShardOutcome {
     let sizes = HeavyTailed::new(p.seed ^ 0x5EED_F10D, REQ_MIN, REQ_MAX);
     let expected_bytes: u64 = (0..p.n as u64).map(|i| sizes.size(i)).sum();
     // Per-shard hosts must hold every connection the router can send
@@ -177,7 +170,7 @@ where
         ..ShardedConfig::default()
     };
     let server: ShardedHost<S, EchoApp> = ShardedHost::new(shard_cfg, move |_shard| {
-        ServedHost::new(Host::new(mk(SERVER_ADDR), host_cfg.clone()), EchoApp::default())
+        ServedHost::new(Host::new(S::mk(SERVER_ADDR), host_cfg.clone()), EchoApp::default())
     });
 
     // Star with per-client RTT diversity: build the topology by hand so
@@ -187,7 +180,7 @@ where
     let mut cids = Vec::with_capacity(p.n);
     for i in 0..p.n {
         let client = ScaleClient::new(
-            mk(CLIENT_BASE + i as u32),
+            S::mk(CLIENT_BASE + i as u32),
             Endpoint::new(SERVER_ADDR, PORT),
             Time(1_000_000 + STAGGER_NS * i as u64),
             request(&sizes, i),
@@ -279,10 +272,7 @@ where
     let balance_x100 = max_frames * 100 / mean_frames;
 
     let mut out = ShardOutcome {
-        stack: match p.stack {
-            ScaleStack::Sub => "sub",
-            ScaleStack::Mono => "mono",
-        },
+        stack: p.stack.label(),
         mode: mode_label(p.mode),
         shards: p.shards,
         n: p.n,
@@ -430,7 +420,7 @@ impl Campaign for Shard {
     /// feeds the cross-check). Full: both stacks, threaded, 8 shards,
     /// n ∈ {10k, 100k}.
     fn sweep(&self, smoke: bool) -> Vec<ShardOutcome> {
-        let stacks = [ScaleStack::Sub, ScaleStack::Mono];
+        let stacks = [Kind::Sub, Kind::Mono];
         let mut outs = Vec::new();
         if smoke {
             for stack in stacks {

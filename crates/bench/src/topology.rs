@@ -33,13 +33,12 @@ use netsim::{AdminOp, Dur, LinkParams, NodeId, SimNet, StackNode, Time, Transpor
 use slconform::driver::{ConformStack, Kind};
 use slconform::multihop::mh_pattern;
 use slconform::natcodec::{nat_codec, peek_for};
-use sublayer_core::{SlConfig, SlTcpStack};
-use tcp_mono::stack::TcpStack;
+use sublayer_core::SlTcpStack;
+use tcp_mono::stack::{Keepalive, TcpStack};
 use tcp_mono::wire::Endpoint;
 
 use crate::campaign::{grid, Campaign};
-use crate::chaos::{keepalive_mono, keepalive_sub};
-use crate::json;
+use crate::{json, stack_mut};
 
 /// How long (simulated) a campaign may run before we declare a hang. Must
 /// cover the monolith's full RTO retry budget (~205 s) with headroom.
@@ -187,32 +186,6 @@ fn rtx_cap(kind: Kind) -> usize {
     }
 }
 
-/// [`ConformStack`] constructors with client keepalive (10 s / 2 s / x5)
-/// — the campaign runs every client with keepalive armed so the reroute
-/// profiles pin "keepalive defers while data is in flight" under a live
-/// RTT step, not just a two-party partition.
-pub trait TopoStack: ConformStack {
-    fn mk_keepalive(addr: u32) -> Self;
-}
-
-impl TopoStack for SlTcpStack {
-    fn mk_keepalive(addr: u32) -> Self {
-        let cfg = SlConfig {
-            keepalive: Some(keepalive_sub()),
-            ..SlConfig::default()
-        };
-        SlTcpStack::new(addr, cfg, slmetrics::shared())
-    }
-}
-
-impl TopoStack for TcpStack {
-    fn mk_keepalive(addr: u32) -> Self {
-        let mut s = TcpStack::new(addr, slmetrics::shared());
-        s.set_keepalive(keepalive_mono());
-        s
-    }
-}
-
 /// Run one `(profile, stack, seed)` campaign and judge its invariants.
 pub fn run_campaign(profile: TopoProfile, kind: Kind, seed: u64) -> TopoOutcome {
     match kind {
@@ -227,14 +200,10 @@ struct DriveOut {
     client_errors: Vec<Option<TransportError>>,
 }
 
-fn stack_mut<H: TopoStack>(net: &mut SimNet, id: NodeId) -> &mut H {
-    &mut net.node_mut::<StackNode<H>>(id).stack
-}
-
 /// Feed each client its unsent tail, drain the server, track the largest
 /// retransmit queue, step the clock. Stops on full delivery or when every
 /// client carries a terminal error (plus a settle window).
-fn drive<H: TopoStack>(
+fn drive<H: ConformStack>(
     net: &mut SimNet,
     clients: &[(NodeId, H::ConnId)],
     payloads: &[Vec<u8>],
@@ -325,7 +294,7 @@ pub(crate) fn attribute(
     delivered
 }
 
-fn run_t<H: TopoStack>(profile: TopoProfile, seed: u64) -> TopoOutcome {
+fn run_t<H: ConformStack>(profile: TopoProfile, seed: u64) -> TopoOutcome {
     let topo = profile.topology();
     let topo_name = topo.name;
 
@@ -353,7 +322,10 @@ fn run_t<H: TopoStack>(profile: TopoProfile, seed: u64) -> TopoOutcome {
     let mut nat_node = None;
     for i in 0..n_streams {
         let addr = if profile == TopoProfile::NatRestart { 0xC0A8_0001 } else { box_host_addr(i) };
-        let mut c = H::mk_keepalive(addr);
+        // Every client runs keepalive (10 s / 2 s / x5), so the reroute
+        // profiles pin "keepalive defers while data is in flight" under a
+        // live RTT step, not just a two-party partition.
+        let mut c = H::mk_with(addr, "newreno", Some(Keepalive::default()));
         let conn = c
             .try_connect(Time::ZERO, 5000 + i as u16, Endpoint::new(saddr, SERVER_PORT))
             .expect("client connect");
@@ -434,7 +406,7 @@ fn run_t<H: TopoStack>(profile: TopoProfile, seed: u64) -> TopoOutcome {
 }
 
 /// Open a second connection from the (aborted) client and push 10 KB.
-fn reconnect<H: TopoStack>(
+fn reconnect<H: ConformStack>(
     net: &mut SimNet,
     nc: NodeId,
     ns: NodeId,
@@ -473,7 +445,7 @@ fn reconnect<H: TopoStack>(
 }
 
 /// Universal invariants plus the profile's expectation.
-fn check_universal<H: TopoStack>(profile: TopoProfile, out: &mut TopoOutcome, idle: bool) {
+fn check_universal<H: ConformStack>(profile: TopoProfile, out: &mut TopoOutcome, idle: bool) {
     if !out.static_check {
         out.violations.push("static gate: forwarding check failed".into());
     }

@@ -23,26 +23,7 @@ use netsim::{Dur, Stack, Time, TransportError};
 use slmetrics::{Pressure, SharedLog};
 use std::collections::{HashMap, VecDeque};
 use tcp_mono::wire::{Endpoint, FourTuple};
-
-/// Idle keepalive policy: after `idle` without inbound packets, probe every
-/// `interval`; after `max_probes` unanswered probes the connection is
-/// aborted with [`TransportError::PeerVanished`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct KeepaliveConfig {
-    pub idle: Dur,
-    pub interval: Dur,
-    pub max_probes: u32,
-}
-
-impl Default for KeepaliveConfig {
-    fn default() -> Self {
-        KeepaliveConfig {
-            idle: Dur::from_secs(10),
-            interval: Dur::from_secs(2),
-            max_probes: 5,
-        }
-    }
-}
+use tcp_mono::Keepalive;
 
 /// Stack configuration: which mechanism fills each replaceable slot.
 #[derive(Clone, Debug)]
@@ -56,8 +37,9 @@ pub struct SlConfig {
     /// the design choice DESIGN.md calls out; SACK is RD-private either
     /// way).
     pub use_sack: bool,
-    /// Idle keepalive probing; `None` (the default) disables it.
-    pub keepalive: Option<KeepaliveConfig>,
+    /// Idle keepalive probing (the policy type both stacks share); `None`
+    /// (the default) disables it.
+    pub keepalive: Option<Keepalive>,
     /// Connection-table capacity: beyond it, passive opens are refused
     /// with a stateless RST and active opens fail with
     /// [`TransportError::ConnTableFull`].
@@ -1013,7 +995,7 @@ impl SlTcpStack {
         Some(c.last_rx + ka.idle + ka.interval.saturating_mul(c.ka_probes as u64))
     }
 
-    fn drive_keepalive(conn: &mut Connection, ka: KeepaliveConfig, now: Time) {
+    fn drive_keepalive(conn: &mut Connection, ka: Keepalive, now: Time) {
         if conn.cm.state() != CmState::Established {
             return;
         }

@@ -2,9 +2,10 @@
 
 use crate::cm::{CmScheme, CmState};
 use crate::dm::ConnId;
-use crate::stack::{KeepaliveConfig, SlConfig, SlTcpStack};
+use crate::stack::{SlConfig, SlTcpStack};
 use netsim::{two_party, Dur, FaultProfile, LinkParams, SimNet, StackNode, Time, TransportError};
 use tcp_mono::wire::Endpoint;
+use tcp_mono::Keepalive;
 
 pub const A: u32 = 0x0A000001;
 pub const B: u32 = 0x0A000002;
@@ -454,7 +455,7 @@ fn partition_mid_transfer_surfaces_clean_abort() {
 #[test]
 fn keepalive_detects_vanished_peer_on_both_sides() {
     let config = SlConfig {
-        keepalive: Some(KeepaliveConfig {
+        keepalive: Some(Keepalive {
             idle: Dur::from_secs(5),
             interval: Dur::from_secs(1),
             max_probes: 3,

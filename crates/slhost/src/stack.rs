@@ -39,7 +39,6 @@ pub trait HostStack: Stack {
     /// itself for the monolithic one).
     type ConnId: Copy + Ord + Eq + Hash + Debug + 'static;
 
-    fn stack_name() -> &'static str;
     fn local_addr(&self) -> u32;
     fn listen(&mut self, port: u16);
     /// Bound the connection table (capacity beyond it refuses opens).
@@ -133,9 +132,6 @@ pub trait HostStack: Stack {
 impl HostStack for SlTcpStack {
     type ConnId = ConnId;
 
-    fn stack_name() -> &'static str {
-        "sublayered"
-    }
     fn local_addr(&self) -> u32 {
         self.addr()
     }
@@ -276,9 +272,6 @@ impl HostStack for SlTcpStack {
 impl HostStack for TcpStack {
     type ConnId = FourTuple;
 
-    fn stack_name() -> &'static str {
-        "monolithic"
-    }
     fn local_addr(&self) -> u32 {
         self.addr()
     }

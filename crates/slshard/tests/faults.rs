@@ -23,7 +23,7 @@ use slshard::{
     mute_injected_panics, FaultEventKind, FaultKind, FaultSpec, Mode, RestartPolicy,
     ShardFaultPlan, ShardHealth, ShardedConfig, ShardedHost,
 };
-use sublayer_core::{KeepaliveConfig, SlConfig, SlTcpStack};
+use sublayer_core::{SlConfig, SlTcpStack};
 use tcp_mono::hash::shard_of;
 use tcp_mono::stack::{Keepalive, TcpStack};
 use tcp_mono::wire::{Endpoint, FourTuple};
@@ -376,7 +376,7 @@ fn mono_stack(addr: u32) -> TcpStack {
 /// error (the same configuration PR 6's topology campaigns use).
 fn sub_client(addr: u32) -> SlTcpStack {
     let cfg = SlConfig {
-        keepalive: Some(KeepaliveConfig {
+        keepalive: Some(Keepalive {
             idle: Dur::from_secs(10),
             interval: Dur::from_secs(2),
             max_probes: 5,
