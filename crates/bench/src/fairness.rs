@@ -36,7 +36,7 @@ use netlayer::{box_host_addr, topo_fanin, BoxNet};
 use netsim::{Dur, LinkParams, NodeId, SimNet, StackNode, Time};
 use slconform::driver::{ConformStack, Kind};
 use slconform::multihop::mh_pattern;
-use slconform::natcodec::peek_for;
+use slconform::natcodec::peek;
 use slmetrics::CcCounters;
 use sublayer_core::SlTcpStack;
 use tcp_mono::stack::TcpStack;
@@ -126,7 +126,7 @@ pub fn run_fairness_with(
 fn run_f<H: ConformStack>(cc: &'static str, seed: u64, horizon_secs: u64) -> FairnessOutcome {
     let topo = topo_fanin();
     let mut net = SimNet::new(seed);
-    let bn: BoxNet = topo.build(&mut net, peek_for(H::KIND));
+    let bn: BoxNet = topo.build(&mut net, peek::<H>);
     // Edge 3 is the rate-limited router->server link; dir 0 carries the
     // fan-in direction, whose serialization queue is the bufferbloat.
     let bottleneck = bn.edge_links[3];

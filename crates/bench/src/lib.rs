@@ -17,7 +17,9 @@ pub mod scale;
 pub mod shard;
 pub mod topology;
 
-use netsim::{two_party, Dur, FaultProfile, LinkParams, NodeId, SimNet, Stack, StackNode, Time};
+use netsim::{
+    two_party, Dur, FaultProfile, HostStack, LinkParams, NodeId, SimNet, Stack, StackNode, Time,
+};
 use sublayer_core::shim::ShimStack;
 use sublayer_core::{CmScheme, SlConfig, SlTcpStack};
 use tcp_mono::stack::TcpStack;
@@ -83,6 +85,35 @@ fn sub_config(cc: &'static str, timer_cm: bool) -> SlConfig {
     }
 }
 
+/// A transfer endpoint as the simulator runs it, and the transport behind
+/// it: a bare stack is its own transport, a shim side reaches the
+/// sublayered stack through `ShimStack.inner`.
+trait Side: Stack {
+    type H: HostStack;
+    fn transport(&mut self) -> &mut Self::H;
+}
+
+impl Side for TcpStack {
+    type H = TcpStack;
+    fn transport(&mut self) -> &mut TcpStack {
+        self
+    }
+}
+
+impl Side for SlTcpStack {
+    type H = SlTcpStack;
+    fn transport(&mut self) -> &mut SlTcpStack {
+        self
+    }
+}
+
+impl Side for ShimStack {
+    type H = SlTcpStack;
+    fn transport(&mut self) -> &mut SlTcpStack {
+        &mut self.inner
+    }
+}
+
 /// Run a one-directional bulk transfer and measure completion time and
 /// wire efficiency.
 pub fn run_transfer(
@@ -92,124 +123,23 @@ pub fn run_transfer(
     seed: u64,
     patience_secs: u64,
 ) -> TransferReport {
-    let data: Vec<u8> = (0..bytes).map(|i| (i % 251) as u8).collect();
-
-    // Generic driver over the two stack shapes.
-    enum Side {
-        Mono(usize),
-        Sub(usize),
-        Shim(usize),
-    }
-    let mut net;
-    let (tx, rx): (Side, Side);
-    let mut conn_mono = None;
-    let mut conn_sub = None;
-
-    match kind {
-        StackKind::Mono => {
-            let mut c = TcpStack::new(A, slmetrics::muted());
-            let mut s = TcpStack::new(B, slmetrics::muted());
-            s.listen(80);
-            conn_mono = Some(c.connect(Time::ZERO, 5000, Endpoint::new(B, 80)));
-            let (n, nc, ns) = two_party(seed, c, s, params);
-            net = n;
-            tx = Side::Mono(nc);
-            rx = Side::Mono(ns);
+    let mono = |addr| TcpStack::new(addr, slmetrics::muted());
+    let sub = |addr, cfg| SlTcpStack::new(addr, cfg, slmetrics::muted());
+    let shim = |addr| ShimStack::new(sub(addr, sub_config("reno", false)));
+    let run = (bytes, params, seed, patience_secs);
+    let (got, secs, net) = match kind {
+        StackKind::Mono => transfer(mono(A), mono(B), run),
+        StackKind::Sub(cc) | StackKind::SubTimerCm(cc) => {
+            let cfg = sub_config(cc, matches!(kind, StackKind::SubTimerCm(_)));
+            transfer(sub(A, cfg.clone()), sub(B, cfg), run)
         }
-        StackKind::Sub(_) | StackKind::SubTimerCm(_) | StackKind::SubNoSack => {
-            let timer = matches!(kind, StackKind::SubTimerCm(_));
-            let cc = match kind {
-                StackKind::Sub(c) | StackKind::SubTimerCm(c) => c,
-                _ => "reno",
-            };
-            let mut cfg = sub_config(cc, timer);
-            if matches!(kind, StackKind::SubNoSack) {
-                cfg.use_sack = false;
-            }
-            let mut c = SlTcpStack::new(A, cfg.clone(), slmetrics::muted());
-            let mut s = SlTcpStack::new(B, cfg, slmetrics::muted());
-            s.listen(80);
-            conn_sub = Some(c.connect(Time::ZERO, 5000, Endpoint::new(B, 80)));
-            let (n, nc, ns) = two_party(seed, c, s, params);
-            net = n;
-            tx = Side::Sub(nc);
-            rx = Side::Sub(ns);
+        StackKind::SubNoSack => {
+            let cfg = SlConfig { use_sack: false, ..sub_config("reno", false) };
+            transfer(sub(A, cfg.clone()), sub(B, cfg), run)
         }
-        StackKind::ShimClientMonoServer => {
-            let mut c = ShimStack::new(SlTcpStack::new(A, sub_config("reno", false), slmetrics::muted()));
-            let mut s = TcpStack::new(B, slmetrics::muted());
-            s.listen(80);
-            conn_sub = Some(c.inner.connect(Time::ZERO, 5000, Endpoint::new(B, 80)));
-            let (n, nc, ns) = two_party(seed, c, s, params);
-            net = n;
-            tx = Side::Shim(nc);
-            rx = Side::Mono(ns);
-        }
-        StackKind::MonoClientShimServer => {
-            let mut c = TcpStack::new(A, slmetrics::muted());
-            let mut s = ShimStack::new(SlTcpStack::new(B, sub_config("reno", false), slmetrics::muted()));
-            s.inner.listen(80);
-            conn_mono = Some(c.connect(Time::ZERO, 5000, Endpoint::new(B, 80)));
-            let (n, nc, ns) = two_party(seed, c, s, params);
-            net = n;
-            tx = Side::Mono(nc);
-            rx = Side::Shim(ns);
-        }
-    }
-
-    net.poll_all();
-    net.run_until(Time::ZERO + Dur::from_secs(3));
-    // Queue the data on the sender.
-    match &tx {
-        Side::Mono(id) => {
-            net.node_mut::<StackNode<TcpStack>>(*id).stack.send(conn_mono.unwrap(), &data);
-        }
-        Side::Sub(id) => {
-            net.node_mut::<StackNode<SlTcpStack>>(*id).stack.send(conn_sub.unwrap(), &data);
-        }
-        Side::Shim(id) => {
-            net.node_mut::<StackNode<ShimStack>>(*id)
-                .stack
-                .inner
-                .send(conn_sub.unwrap(), &data);
-        }
-    }
-    net.poll_all();
-    let start = net.now();
-
-    let mut got = 0usize;
-    let mut done_at = start;
-    // 25 ms application polling: fine enough that the app read rate never
-    // bounds a 20 Mbit/s link (64 KB window / 25 ms = 21 Mbit/s).
-    for _ in 0..patience_secs * 40 {
-        let dl = net.now() + Dur::from_millis(25);
-        net.run_until(dl);
-        let drained = match &rx {
-            Side::Mono(id) => {
-                let st = &mut net.node_mut::<StackNode<TcpStack>>(*id).stack;
-                st.established().first().map(|&c| st.recv(c).len()).unwrap_or(0)
-            }
-            Side::Sub(id) => {
-                let st = &mut net.node_mut::<StackNode<SlTcpStack>>(*id).stack;
-                st.established().first().map(|&c| st.recv(c).len()).unwrap_or(0)
-            }
-            Side::Shim(id) => {
-                let st = &mut net.node_mut::<StackNode<ShimStack>>(*id).stack.inner;
-                st.established().first().map(|&c| st.recv(c).len()).unwrap_or(0)
-            }
-        };
-        got += drained;
-        net.poll_all();
-        if got >= bytes {
-            done_at = net.now();
-            break;
-        }
-    }
-    let complete = got >= bytes;
-    if !complete {
-        done_at = net.now();
-    }
-    let secs = done_at.since(start).secs_f64().max(1e-9);
+        StackKind::ShimClientMonoServer => transfer(shim(A), mono(B), run),
+        StackKind::MonoClientShimServer => transfer(mono(A), shim(B), run),
+    };
     let d0 = net.link_dir_stats(0, 0);
     let d1 = net.link_dir_stats(0, 1);
     TransferReport {
@@ -220,8 +150,47 @@ pub fn run_transfer(
         goodput_mbps: got as f64 * 8.0 / secs / 1e6,
         frames_on_wire: d0.tx_frames + d1.tx_frames,
         wire_bytes: d0.tx_bytes + d1.tx_bytes,
-        complete,
+        complete: got >= bytes,
     }
+}
+
+/// The transfer itself, over any pair of sides: the client connects and
+/// queues `bytes` at 3 s, the server's application drains every 25 ms
+/// until it has them all or `patience_secs` pass. Returns the bytes
+/// delivered, the seconds until then, and the network.
+fn transfer<C: Side, S: Side>(
+    mut c: C,
+    mut s: S,
+    (bytes, params, seed, patience_secs): (usize, LinkParams, u64, u64),
+) -> (usize, f64, SimNet) {
+    let data: Vec<u8> = (0..bytes).map(|i| (i % 251) as u8).collect();
+    s.transport().listen(80);
+    let conn = c
+        .transport()
+        .try_connect(Time::ZERO, 5000, Endpoint::new(B, 80))
+        .expect("tuple free");
+    let (mut net, nc, ns) = two_party(seed, c, s, params);
+    net.poll_all();
+    net.run_until(Time::ZERO + Dur::from_secs(3));
+    // Queue the data on the sender.
+    stack_mut::<C>(&mut net, nc).transport().send(conn, &data);
+    net.poll_all();
+    let start = net.now();
+
+    let mut got = 0usize;
+    // 25 ms application polling: fine enough that the app read rate never
+    // bounds a 20 Mbit/s link (64 KB window / 25 ms = 21 Mbit/s).
+    for _ in 0..patience_secs * 40 {
+        let dl = net.now() + Dur::from_millis(25);
+        net.run_until(dl);
+        let st = stack_mut::<S>(&mut net, ns).transport();
+        got += st.established().first().map(|&c| st.recv(c).len()).unwrap_or(0);
+        net.poll_all();
+        if got >= bytes {
+            break;
+        }
+    }
+    (got, net.now().since(start).secs_f64().max(1e-9), net)
 }
 
 /// Nanoseconds as a simulated duration (the host sweeps' time unit).
@@ -297,6 +266,8 @@ mod tests {
         for kind in [
             StackKind::Mono,
             StackKind::Sub("reno"),
+            StackKind::SubTimerCm("reno"),
+            StackKind::SubNoSack,
             StackKind::ShimClientMonoServer,
             StackKind::MonoClientShimServer,
         ] {

@@ -238,7 +238,7 @@ struct Service {
     sent: usize,
 }
 
-/// The server application: accumulate a [`REQ_LEN`]-byte request, then
+/// The server application: accumulate a `REQ_LEN`-byte request, then
 /// send one `resp_len`-byte response. Serves only connections the host
 /// actually admitted — a deferred connection's request waits, which is
 /// exactly what makes admission control observable end to end.

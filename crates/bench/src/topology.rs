@@ -32,7 +32,7 @@ use netlayer::{
 use netsim::{AdminOp, Dur, LinkParams, NodeId, SimNet, StackNode, Time, TransportError};
 use slconform::driver::{ConformStack, Kind};
 use slconform::multihop::mh_pattern;
-use slconform::natcodec::{nat_codec, peek_for};
+use slconform::natcodec::{nat_codec, peek};
 use sublayer_core::SlTcpStack;
 use tcp_mono::stack::{Keepalive, TcpStack};
 use tcp_mono::wire::Endpoint;
@@ -308,7 +308,7 @@ fn run_t<H: ConformStack>(profile: TopoProfile, seed: u64) -> TopoOutcome {
     }
 
     let mut net = SimNet::new(seed);
-    let bn: BoxNet = topo.build(&mut net, peek_for(H::KIND));
+    let bn: BoxNet = topo.build(&mut net, peek::<H>);
     let n_streams = profile.streams();
     let server_site = bn.topo.hosts.len() - 1;
     let saddr = box_host_addr(server_site);

@@ -54,7 +54,7 @@ pub struct FrameCodec {
 impl FrameCodec {
     /// Compose a stuffing rule with a flag. The pairing is *not* validated
     /// here — run [`crate::verify::check_rule`] first; [`FrameCodec::hdlc`]
-    /// and validated pairings from [`crate::search`] are always safe.
+    /// and validated pairings from [`crate::search()`] are always safe.
     pub fn new(rule: StuffRule, flag: BitVec) -> Result<FrameCodec, StuffError> {
         Ok(FrameCodec { stuffer: Stuffer::new(rule)?, flagger: Flagger::new(flag) })
     }

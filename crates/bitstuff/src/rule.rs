@@ -29,7 +29,7 @@ impl StuffRule {
     }
 
     /// The lower-overhead rule highlighted by the paper (§4.1, lesson 2):
-    /// after `0000001`, stuff a `1`. Pairs with flag [`Flag::LOW_OVERHEAD`]
+    /// after `0000001`, stuff a `1`. Pairs with flag [`Flag::low_overhead`]
     /// (`00000010`); its random-model overhead is 1 in 128 versus HDLC's
     /// 1 in 32 (naive model).
     pub fn low_overhead() -> StuffRule {

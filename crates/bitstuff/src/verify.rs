@@ -8,7 +8,7 @@
 //! receiver's false-flag hazard is another automaton (the flag KMP
 //! detector). We therefore decide validity **exactly** — soundly and
 //! completely — by exhaustive reachability over the product automaton,
-//! covering both hazards the paper identifies: "the stuffed bit [can] form
+//! covering both hazards the paper identifies: "the stuffed bit \[can\] form
 //! a flag with subsequent data bits" (a flag occurrence inside the stuffed
 //! body) and "some flags can cause a false flag to occur using the data and
 //! a prefix of the end flag" (an occurrence straddling the body /

@@ -14,7 +14,7 @@
 //!
 //! Two schemes demonstrate replaceability (experiment E8):
 //! * [`CmScheme::ThreeWay`] — classic SYN / SYN-ACK / ACK;
-//! * [`CmScheme::TimerBased`] — Watson's timer-based scheme (paper [31]):
+//! * [`CmScheme::TimerBased`] — Watson's timer-based scheme (paper \[31\]):
 //!   no handshake at all; ISNs ride in the CM header of every packet and
 //!   connections die by quiet-time, not FIN.
 

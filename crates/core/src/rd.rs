@@ -101,7 +101,7 @@ const MAX_OOO_BYTES: u64 = 64 * 1024 - 1;
 /// up and asks the stack to abort ([`RdEvent::RetriesExhausted`]).
 pub const MAX_RETRIES: u32 = 8;
 /// How long a pure ack may be delayed while ACK pacing is on (host memory
-/// pressure). Well under [`MIN_RTO`], so pacing can never trigger a peer's
+/// pressure). Well under `MIN_RTO` (200 ms), so pacing can never trigger a peer's
 /// retransmission timer.
 pub const ACK_DELAY: Dur = Dur(50_000_000);
 

@@ -129,7 +129,7 @@ impl Stack for RecordStack {
 mod tests {
     use super::*;
     use crate::stack::SlConfig;
-    use netsim::{two_party, Dur, FaultProfile, LinkParams, StackNode};
+    use netsim::{two_party, Dur, FaultProfile, HostStack, LinkParams, StackNode};
     use tcp_mono::wire::Endpoint;
 
     #[test]

@@ -148,7 +148,7 @@ mod tests {
     use super::*;
     use crate::dm::ConnId;
     use crate::stack::SlConfig;
-    use netsim::{two_party, Dur, FaultProfile, LinkParams, SimNet, StackNode};
+    use netsim::{two_party, Dur, FaultProfile, HostStack, LinkParams, SimNet, StackNode};
     use tcp_mono::stack::TcpStack;
     use tcp_mono::wire::Endpoint;
     use tcp_mono::TcpState;

@@ -19,8 +19,8 @@ use crate::osr::Osr;
 use crate::rd::{RdEvent, ReliableDelivery};
 use crate::signals::SeqValidity;
 use crate::wire::Packet;
-use netsim::{Dur, Stack, Time, TransportError};
-use slmetrics::{Pressure, SharedLog};
+use netsim::{Dur, FrameMeta, HostStack, Stack, Time, TransportError};
+use slmetrics::{AttackCounters, Pressure, SharedLog};
 use std::collections::{HashMap, VecDeque};
 use tcp_mono::wire::{Endpoint, FourTuple};
 use tcp_mono::Keepalive;
@@ -197,17 +197,8 @@ impl SlTcpStack {
         })
     }
 
-    pub fn addr(&self) -> u32 {
-        self.dm.local_addr()
-    }
-
     pub fn config(&self) -> &SlConfig {
         &self.config
-    }
-
-    /// Accept connections on `port`.
-    pub fn listen(&mut self, port: u16) {
-        self.dm.listen(port);
     }
 
     /// Active open; returns the connection handle. Panics if the tuple is
@@ -215,100 +206,6 @@ impl SlTcpStack {
     /// refusal must be a value, not a crash.
     pub fn connect(&mut self, now: Time, local_port: u16, remote: Endpoint) -> ConnId {
         self.try_connect(now, local_port, remote).expect("tuple free")
-    }
-
-    /// Active open surfacing capacity as a typed error instead of a panic:
-    /// a full connection table or an already-bound tuple both mean the
-    /// table cannot admit this connection.
-    pub fn try_connect(
-        &mut self,
-        now: Time,
-        local_port: u16,
-        remote: Endpoint,
-    ) -> Result<ConnId, TransportError> {
-        if self.conns.len() >= self.config.max_conns {
-            return Err(TransportError::ConnTableFull);
-        }
-        let tuple = FourTuple {
-            local: Endpoint::new(self.dm.local_addr(), local_port),
-            remote,
-        };
-        let Ok(token) = self.dm.bind(tuple) else {
-            return Err(TransportError::ConnTableFull);
-        };
-        let id = token.id();
-        let local_isn = self.isn_gen.isn(now, &tuple);
-        let cm =
-            ConnMgmt::open_active(token, self.config.cm_scheme, local_isn, now, self.log.clone());
-        let mut osr = Osr::new(self.cc_template.clone(), self.log.clone());
-        osr.set_pressure(self.pressure);
-        let mut conn = Connection::new(cm, osr, now);
-        // Timer-based CM is established immediately; wire RD up now.
-        if matches!(self.config.cm_scheme, CmScheme::TimerBased { .. }) {
-            let mut rd = ReliableDelivery::new(local_isn, 0, self.log.clone());
-            rd.set_use_sack(self.config.use_sack);
-            rd.set_ack_pacing(self.pressure.paces_acks());
-            conn.rd = Some(rd);
-        }
-        self.conns.insert(id, conn);
-        self.pump(now, id);
-        Ok(id)
-    }
-
-    /// Active open with an ephemeral local port.
-    pub fn connect_ephemeral(&mut self, now: Time, remote: Endpoint) -> ConnId {
-        self.try_connect_ephemeral(now, remote).expect("ephemeral port free")
-    }
-
-    /// Active open with an ephemeral local port, surfacing port exhaustion
-    /// and table capacity as typed errors.
-    pub fn try_connect_ephemeral(
-        &mut self,
-        now: Time,
-        remote: Endpoint,
-    ) -> Result<ConnId, TransportError> {
-        if self.conns.len() >= self.config.max_conns {
-            return Err(TransportError::ConnTableFull);
-        }
-        let Some(port) = self.dm.ephemeral_port(remote) else {
-            return Err(TransportError::PortsExhausted);
-        };
-        self.try_connect(now, port, remote)
-    }
-
-    /// Queue application bytes.
-    pub fn send(&mut self, id: ConnId, data: &[u8]) -> usize {
-        let Some(conn) = self.conns.get_mut(&id) else { return 0 };
-        if conn.want_close || conn.dead {
-            return 0;
-        }
-        conn.osr.write(data)
-    }
-
-    /// Drain received application bytes.
-    pub fn recv(&mut self, id: ConnId) -> Vec<u8> {
-        match self.conns.get_mut(&id) {
-            Some(conn) => {
-                let out = conn.osr.read();
-                // Once the peer's FIN is in no more data can arrive, so
-                // the reopened window is not worth advertising (same
-                // rule as tcp-mono's recv): the gratuitous ack would
-                // poke a peer whose TCB may already be deleted.
-                if conn.cm.peer_fin_seen() {
-                    conn.osr.suppress_window_update();
-                }
-                out
-            }
-            None => Vec::new(),
-        }
-    }
-
-    /// Graceful close (FIN after the stream drains).
-    pub fn close(&mut self, id: ConnId) {
-        if let Some(conn) = self.conns.get_mut(&id) {
-            conn.want_close = true;
-            conn.osr.close();
-        }
     }
 
     pub fn state(&self, id: ConnId) -> CmState {
@@ -322,179 +219,18 @@ impl SlTcpStack {
         self.conns.get(&id).is_some_and(|c| c.want_close)
     }
 
-    /// Why a connection died abnormally, if it did. Survives the
-    /// connection's removal: after an abort, `state` reports `Closed` and
-    /// this reports the reason.
-    pub fn conn_error(&self, id: ConnId) -> Option<TransportError> {
-        self.errors.get(&id).copied()
-    }
-
-    /// Abort a connection locally (application-initiated RST).
-    pub fn abort(&mut self, now: Time, id: ConnId, reason: TransportError) {
-        if let Some(conn) = self.conns.get_mut(&id) {
-            conn.cm.abort(reason);
-            self.pump(now, id);
-        }
-    }
-
-    /// Established connections (listener side discovers peers here).
-    pub fn established(&self) -> Vec<ConnId> {
-        let mut v: Vec<ConnId> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.cm.state() == CmState::Established)
-            .map(|(&id, _)| id)
-            .collect();
-        v.sort();
-        v
-    }
-
     pub fn tuple(&self, id: ConnId) -> Option<FourTuple> {
         self.dm.tuple(id)
     }
 
-    /// O(1) hashed 4-tuple lookup into the connection table (the host
-    /// layer's demux path).
+    /// [`HostStack::conn_for_tuple`], callable without the trait in scope
+    /// (the benchmark's replay arm looks live connections up through it).
     pub fn conn_for_tuple(&self, tuple: &FourTuple) -> Option<ConnId> {
         self.dm.lookup(tuple)
     }
 
-    pub fn conn_count(&self) -> usize {
-        self.conns.len()
-    }
-
-    /// Adjust the connection-table capacity at runtime (host layer knob).
-    pub fn set_max_conns(&mut self, max: usize) {
-        self.config.max_conns = max;
-    }
-
-    /// Propagate host memory pressure down the sublayer column: OSR clamps
-    /// the advertised window, RD paces pure acks, DM gates new flows at
-    /// the `Critical` tier. Each sublayer receives only its own slice of
-    /// the contract — no sublayer reads another's state.
-    pub fn set_pressure(&mut self, p: Pressure) {
-        if p == self.pressure {
-            return;
-        }
-        self.pressure = p;
-        let pace = p.paces_acks();
-        for c in self.conns.values_mut() {
-            c.osr.set_pressure(p);
-            if let Some(rd) = c.rd.as_mut() {
-                rd.set_ack_pacing(pace);
-            }
-        }
-        self.dm.set_gate(self.gate || p.refuses_new_flows());
-    }
-
     pub fn pressure(&self) -> Pressure {
         self.pressure
-    }
-
-    /// Explicitly gate new-flow admission (host drain/quiesce), independent
-    /// of the pressure tier.
-    pub fn gate_new_flows(&mut self, refuse: bool) {
-        self.gate = refuse;
-        self.dm.set_gate(refuse || self.pressure.refuses_new_flows());
-    }
-
-    /// One connection's share of [`SlTcpStack::buffered_bytes`].
-    pub fn conn_buffered(&self, id: ConnId) -> usize {
-        self.conns.get(&id).map_or(0, |c| {
-            c.osr.buffered_bytes() + c.rd.as_ref().map_or(0, |r| r.in_flight_bytes())
-        })
-    }
-
-    /// Bytes currently pinned in the retransmit queue (bounded by
-    /// [`crate::rd::RTX_BYTES_CAP`] no matter how long the path stays
-    /// partitioned).
-    pub fn conn_rtx_bytes(&self, id: ConnId) -> usize {
-        self.conns
-            .get(&id)
-            .and_then(|c| c.rd.as_ref())
-            .map_or(0, |r| r.in_flight_bytes())
-    }
-
-    /// How long the oldest unacked segment has waited without cumulative
-    /// ack progress — the partition-age signal a host budget can act on.
-    pub fn conn_oldest_unacked(&self, id: ConnId, now: Time) -> Option<Dur> {
-        self.conns
-            .get(&id)
-            .and_then(|c| c.rd.as_ref())
-            .and_then(|r| r.oldest_unacked_age(now))
-    }
-
-    /// Monotone progress counter for slow-drain detection (bytes delivered
-    /// in order + bytes the peer acked); `0` before RD exists.
-    pub fn conn_progress(&self, id: ConnId) -> u64 {
-        self.conns
-            .get(&id)
-            .and_then(|c| c.rd.as_ref())
-            .map_or(0, |r| r.progress_bytes())
-    }
-
-    /// In-order received bytes available to `recv` without draining them.
-    pub fn readable_len(&self, id: ConnId) -> usize {
-        self.conns.get(&id).map_or(0, |c| c.osr.readable_len())
-    }
-
-    /// How many bytes `send` would accept right now (0 once the stream is
-    /// closing or the connection is gone).
-    pub fn send_capacity(&self, id: ConnId) -> usize {
-        match self.conns.get(&id) {
-            Some(c) if !c.want_close && !c.dead => c.osr.write_capacity(),
-            _ => 0,
-        }
-    }
-
-    /// Pop one already-assembled frame without scanning any connection —
-    /// the host layer's transmit path ([`SlTcpStack::pump_conn`] is what
-    /// fills the outbox).
-    pub fn take_frame(&mut self) -> Option<Vec<u8>> {
-        self.outbox.pop_front()
-    }
-
-    /// Run one connection's machinery (events, close coordination,
-    /// segmentation, packet assembly) — the per-connection half of
-    /// `poll_transmit`, for hosts that know which connection changed.
-    pub fn pump_conn(&mut self, now: Time, id: ConnId) {
-        self.pump(now, id);
-    }
-
-    /// Next timer deadline for *one* connection, so a host can keep one
-    /// wheel entry per connection instead of scanning them all.
-    pub fn conn_deadline(&self, now: Time, id: ConnId) -> Option<Time> {
-        let c = self.conns.get(&id)?;
-        [
-            c.cm.poll_deadline(),
-            c.rd.as_ref().and_then(|r| r.poll_deadline()),
-            c.osr.poll_deadline(now),
-            self.keepalive_deadline(c),
-        ]
-        .into_iter()
-        .flatten()
-        .min()
-    }
-
-    /// Advance one connection's timers to `now` (the per-connection half
-    /// of `on_tick`); spurious calls are harmless.
-    pub fn tick_conn(&mut self, now: Time, id: ConnId) {
-        if let Some(conn) = self.conns.get_mut(&id) {
-            conn.cm.on_tick(now);
-            if let Some(rd) = conn.rd.as_mut() {
-                rd.on_tick(now);
-            }
-            conn.osr.on_tick(now);
-            if let Some(ka) = self.config.keepalive {
-                Self::drive_keepalive(conn, ka, now);
-            }
-        }
-        self.pump(now, id);
-    }
-
-    /// Peer-closed + everything delivered? (EOF for the application.)
-    pub fn peer_closed(&self, id: ConnId) -> bool {
-        self.conns.get(&id).is_some_and(|c| c.cm.peer_fin_seen())
     }
 
     /// The RD sublayer's counters (for tests/experiments).
@@ -506,13 +242,6 @@ impl SlTcpStack {
         self.conns.get(&id).map(|c| c.osr.stats.clone())
     }
 
-    /// Per-connection congestion-control observability: window samples
-    /// and loss/recovery event counts ([`slmetrics::CcCounters`], the
-    /// same shape `tcp-mono` fills — E19 reads both like for like).
-    pub fn conn_cc(&self, id: ConnId) -> Option<slmetrics::CcCounters> {
-        self.conns.get(&id).map(|c| c.osr.cc)
-    }
-
     /// Simulate an ECN mark on this connection's next outgoing header.
     pub fn mark_ecn(&mut self, id: ConnId) {
         if let Some(c) = self.conns.get_mut(&id) {
@@ -520,35 +249,10 @@ impl SlTcpStack {
         }
     }
 
-    /// Diagnostic: the exact wire sequence this connection's RD expects
-    /// next — what an attacker must know to land an exact-sequence RST
-    /// (the attack campaign's oracle mode reads this; real attackers
-    /// guess).
-    pub fn expected_wire_seq(&self, id: ConnId) -> Option<u32> {
-        self.conns.get(&id)?.rd.as_ref().map(|r| r.wire_rcv_ack())
-    }
-
     /// Total RFC 5961 challenge ACKs issued (live connections + reaped).
     pub fn challenge_acks(&self) -> u64 {
         self.stats.challenge_acks
             + self.conns.values().map(|c| c.cm.challenge_acks()).sum::<u64>()
-    }
-
-    /// Live half-open (passively opened, not yet established) connections.
-    pub fn half_open_count(&self) -> usize {
-        self.conns.values().filter(|c| c.cm.state() == CmState::SynRcvd).count()
-    }
-
-    /// Total bytes parked in per-connection buffers (send queues,
-    /// retransmission flights, reassembly, unread app data) — the
-    /// memory-bound invariant the attack campaign checks.
-    pub fn buffered_bytes(&self) -> usize {
-        self.conns
-            .values()
-            .map(|c| {
-                c.osr.buffered_bytes() + c.rd.as_ref().map_or(0, |r| r.in_flight_bytes())
-            })
-            .sum()
     }
 
     /// Oldest half-open connection idle for at least one SYN-RTO, if any.
@@ -959,27 +663,327 @@ impl Stack for SlTcpStack {
     }
 
     fn poll_transmit(&mut self, now: Time) -> Option<Vec<u8>> {
-        if self.outbox.is_empty() {
-            // Sorted so every same-seed run pumps connections in the same
-            // order (HashMap iteration order is not deterministic).
-            let mut ids: Vec<ConnId> = self.conns.keys().copied().collect();
-            ids.sort();
-            for id in ids {
-                self.pump(now, id);
-            }
-        }
-        self.outbox.pop_front()
+        netsim::poll_transmit_all(self, now)
     }
 
     fn poll_deadline(&self, now: Time) -> Option<Time> {
-        self.conns.keys().filter_map(|&id| self.conn_deadline(now, id)).min()
+        netsim::poll_deadline_all(self, now)
     }
 
     fn on_tick(&mut self, now: Time) {
-        let mut ids: Vec<ConnId> = self.conns.keys().copied().collect();
-        ids.sort();
-        for id in ids {
-            self.tick_conn(now, id);
+        netsim::on_tick_all(self, now);
+    }
+}
+
+impl HostStack for SlTcpStack {
+    type ConnId = ConnId;
+
+    fn local_addr(&self) -> u32 {
+        self.dm.local_addr()
+    }
+
+    fn listen(&mut self, port: u16) {
+        self.dm.listen(port);
+    }
+
+    fn set_max_conns(&mut self, max: usize) {
+        self.config.max_conns = max;
+    }
+
+    fn try_connect(
+        &mut self,
+        now: Time,
+        local_port: u16,
+        remote: Endpoint,
+    ) -> Result<ConnId, TransportError> {
+        if self.conns.len() >= self.config.max_conns {
+            return Err(TransportError::ConnTableFull);
+        }
+        let tuple = FourTuple {
+            local: Endpoint::new(self.dm.local_addr(), local_port),
+            remote,
+        };
+        let Ok(token) = self.dm.bind(tuple) else {
+            return Err(TransportError::ConnTableFull);
+        };
+        let id = token.id();
+        let local_isn = self.isn_gen.isn(now, &tuple);
+        let cm =
+            ConnMgmt::open_active(token, self.config.cm_scheme, local_isn, now, self.log.clone());
+        let mut osr = Osr::new(self.cc_template.clone(), self.log.clone());
+        osr.set_pressure(self.pressure);
+        let mut conn = Connection::new(cm, osr, now);
+        // Timer-based CM is established immediately; wire RD up now.
+        if matches!(self.config.cm_scheme, CmScheme::TimerBased { .. }) {
+            let mut rd = ReliableDelivery::new(local_isn, 0, self.log.clone());
+            rd.set_use_sack(self.config.use_sack);
+            rd.set_ack_pacing(self.pressure.paces_acks());
+            conn.rd = Some(rd);
+        }
+        self.conns.insert(id, conn);
+        self.pump(now, id);
+        Ok(id)
+    }
+
+    fn try_connect_ephemeral(
+        &mut self,
+        now: Time,
+        remote: Endpoint,
+    ) -> Result<ConnId, TransportError> {
+        if self.conns.len() >= self.config.max_conns {
+            return Err(TransportError::ConnTableFull);
+        }
+        let Some(port) = self.dm.ephemeral_port(remote) else {
+            return Err(TransportError::PortsExhausted);
+        };
+        self.try_connect(now, port, remote)
+    }
+
+    fn send(&mut self, id: ConnId, data: &[u8]) -> usize {
+        let Some(conn) = self.conns.get_mut(&id) else { return 0 };
+        if conn.want_close || conn.dead {
+            return 0;
+        }
+        conn.osr.write(data)
+    }
+
+    fn recv(&mut self, id: ConnId) -> Vec<u8> {
+        match self.conns.get_mut(&id) {
+            Some(conn) => {
+                let out = conn.osr.read();
+                // Once the peer's FIN is in no more data can arrive, so
+                // the reopened window is not worth advertising (same
+                // rule as tcp-mono's recv): the gratuitous ack would
+                // poke a peer whose TCB may already be deleted.
+                if conn.cm.peer_fin_seen() {
+                    conn.osr.suppress_window_update();
+                }
+                out
+            }
+            None => Vec::new(),
+        }
+    }
+
+    fn close(&mut self, id: ConnId) {
+        if let Some(conn) = self.conns.get_mut(&id) {
+            conn.want_close = true;
+            conn.osr.close();
+        }
+    }
+
+    fn abort(&mut self, now: Time, id: ConnId) {
+        if let Some(conn) = self.conns.get_mut(&id) {
+            conn.cm.abort(TransportError::Reset);
+            self.pump(now, id);
+        }
+    }
+
+    fn is_established(&self, id: ConnId) -> bool {
+        // Parity tie-break: CM defers its Established -> Closing
+        // transition until the send stream drains, but the monolith flips
+        // to FIN_WAIT_1 the moment the app closes. Both mean "no longer
+        // open for the application", so gate on the close request.
+        self.state(id) == CmState::Established && !self.close_pending(id)
+    }
+
+    fn is_closed(&self, id: ConnId) -> bool {
+        self.state(id) == CmState::Closed
+    }
+
+    fn peer_closed(&self, id: ConnId) -> bool {
+        // Parity tie-break: the monolith derives this from the PCB state,
+        // which stops reporting it once the connection reaches CLOSED;
+        // CM's peer-FIN flag would persist. Half-close is only meaningful
+        // while the connection is alive, so gate on it.
+        self.conns
+            .get(&id)
+            .is_some_and(|c| c.cm.peer_fin_seen() && c.cm.state() != CmState::Closed)
+    }
+
+    fn conn_error(&self, id: ConnId) -> Option<TransportError> {
+        self.errors.get(&id).copied()
+    }
+
+    fn readable_len(&self, id: ConnId) -> usize {
+        self.conns.get(&id).map_or(0, |c| c.osr.readable_len())
+    }
+
+    fn send_capacity(&self, id: ConnId) -> usize {
+        match self.conns.get(&id) {
+            Some(c) if !c.want_close && !c.dead => c.osr.write_capacity(),
+            _ => 0,
+        }
+    }
+
+    fn established(&self) -> Vec<ConnId> {
+        let mut v: Vec<ConnId> = self
+            .conns
+            .iter()
+            .filter(|(_, c)| c.cm.state() == CmState::Established)
+            .map(|(&id, _)| id)
+            .collect();
+        v.sort();
+        v
+    }
+
+    fn conn_count(&self) -> usize {
+        self.conns.len()
+    }
+
+    fn conn_ids(&self) -> impl Iterator<Item = ConnId> + '_ {
+        self.conns.keys().copied()
+    }
+
+    fn classify_frame(frame: &[u8]) -> Option<FrameMeta> {
+        crate::wire::classify(frame)
+    }
+
+    fn conn_for_tuple(&self, tuple: &FourTuple) -> Option<ConnId> {
+        self.dm.lookup(tuple)
+    }
+
+    fn take_frame(&mut self) -> Option<Vec<u8>> {
+        self.outbox.pop_front()
+    }
+
+    /// Run one connection's machinery (events, close coordination,
+    /// segmentation, packet assembly) — the per-connection half of
+    /// `poll_transmit`, for hosts that know which connection changed.
+    fn pump_conn(&mut self, now: Time, id: ConnId) {
+        self.pump(now, id);
+    }
+
+    fn conn_deadline(&self, now: Time, id: ConnId) -> Option<Time> {
+        let c = self.conns.get(&id)?;
+        [
+            c.cm.poll_deadline(),
+            c.rd.as_ref().and_then(|r| r.poll_deadline()),
+            c.osr.poll_deadline(now),
+            self.keepalive_deadline(c),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+    }
+
+    fn tick_conn(&mut self, now: Time, id: ConnId) {
+        if let Some(conn) = self.conns.get_mut(&id) {
+            conn.cm.on_tick(now);
+            if let Some(rd) = conn.rd.as_mut() {
+                rd.on_tick(now);
+            }
+            conn.osr.on_tick(now);
+            if let Some(ka) = self.config.keepalive {
+                Self::drive_keepalive(conn, ka, now);
+            }
+        }
+        self.pump(now, id);
+    }
+
+    fn crossing_events(&self) -> Option<u64> {
+        let c = &self.crossings;
+        Some(
+            c.osr_to_rd_segments
+                + c.rd_to_osr_segments
+                + c.signals_up
+                + c.packets_tx
+                + c.packets_rx,
+        )
+    }
+
+    /// Propagate host memory pressure down the sublayer column: OSR clamps
+    /// the advertised window, RD paces pure acks, DM gates new flows at
+    /// the `Critical` tier. Each sublayer receives only its own slice of
+    /// the contract — no sublayer reads another's state.
+    fn set_pressure(&mut self, p: Pressure) {
+        if p == self.pressure {
+            return;
+        }
+        self.pressure = p;
+        let pace = p.paces_acks();
+        for c in self.conns.values_mut() {
+            c.osr.set_pressure(p);
+            if let Some(rd) = c.rd.as_mut() {
+                rd.set_ack_pacing(pace);
+            }
+        }
+        self.dm.set_gate(self.gate || p.refuses_new_flows());
+    }
+
+    fn gate_new_flows(&mut self, refuse: bool) {
+        self.gate = refuse;
+        self.dm.set_gate(refuse || self.pressure.refuses_new_flows());
+    }
+
+    fn conn_buffered(&self, id: ConnId) -> usize {
+        self.conns.get(&id).map_or(0, |c| {
+            c.osr.buffered_bytes() + c.rd.as_ref().map_or(0, |r| r.in_flight_bytes())
+        })
+    }
+
+    /// Monotone progress counter for slow-drain detection (bytes delivered
+    /// in order + bytes the peer acked); `0` before RD exists.
+    fn conn_progress(&self, id: ConnId) -> u64 {
+        self.conns
+            .get(&id)
+            .and_then(|c| c.rd.as_ref())
+            .map_or(0, |r| r.progress_bytes())
+    }
+
+    fn buffered_bytes(&self) -> usize {
+        self.conns
+            .values()
+            .map(|c| {
+                c.osr.buffered_bytes() + c.rd.as_ref().map_or(0, |r| r.in_flight_bytes())
+            })
+            .sum()
+    }
+
+    fn stack_pressure_refusals(&self) -> u64 {
+        self.stats.pressure_refusals
+    }
+
+    /// Bytes currently pinned in the retransmit queue (bounded by
+    /// [`crate::rd::RTX_BYTES_CAP`] no matter how long the path stays
+    /// partitioned).
+    fn conn_rtx_bytes(&self, id: ConnId) -> usize {
+        self.conns
+            .get(&id)
+            .and_then(|c| c.rd.as_ref())
+            .map_or(0, |r| r.in_flight_bytes())
+    }
+
+    fn conn_oldest_unacked(&self, id: ConnId, now: Time) -> Option<Dur> {
+        self.conns
+            .get(&id)
+            .and_then(|c| c.rd.as_ref())
+            .and_then(|r| r.oldest_unacked_age(now))
+    }
+
+    fn expected_seq(&self, id: ConnId) -> Option<u32> {
+        self.conns.get(&id)?.rd.as_ref().map(|r| r.wire_rcv_ack())
+    }
+
+    fn conn_cc(&self, id: ConnId) -> Option<slmetrics::CcCounters> {
+        self.conns.get(&id).map(|c| c.osr.cc)
+    }
+
+    fn half_open_count(&self) -> usize {
+        self.conns.values().filter(|c| c.cm.state() == CmState::SynRcvd).count()
+    }
+
+    fn attack_counters(&self, conn: Option<ConnId>) -> AttackCounters {
+        let s = &self.stats;
+        let rd = conn.and_then(|id| self.rd_stats(id)).unwrap_or_default();
+        AttackCounters {
+            challenge_acks: self.challenge_acks(),
+            syn_cookies_sent: s.syn_cookies_sent,
+            syn_cookies_validated: s.syn_cookies_validated,
+            half_open_evictions: s.half_open_evictions,
+            bad_frames_rejected: s.bad_packets,
+            overflow_drops: rd.ooo_range_drops,
+            invalid_seq_drops: rd.invalid_seq_drops,
+            ..AttackCounters::default()
         }
     }
 }

@@ -3,7 +3,9 @@
 use crate::cm::{CmScheme, CmState};
 use crate::dm::ConnId;
 use crate::stack::{SlConfig, SlTcpStack};
-use netsim::{two_party, Dur, FaultProfile, LinkParams, SimNet, StackNode, Time, TransportError};
+use netsim::{
+    two_party, Dur, FaultProfile, HostStack, LinkParams, SimNet, StackNode, Time, TransportError,
+};
 use tcp_mono::wire::Endpoint;
 use tcp_mono::Keepalive;
 
@@ -491,7 +493,7 @@ fn local_abort_resets_peer() {
     assert_eq!(got, b"payload");
     let sconn = stack(&mut net, ns).established()[0];
     let now = net.now();
-    stack(&mut net, nc).abort(now, conn, TransportError::RetriesExhausted);
+    stack(&mut net, nc).abort(now, conn);
     net.poll_all();
     run_for(&mut net, Dur::from_secs(2));
     assert_eq!(stack(&mut net, ns).state(sconn), CmState::Closed);
@@ -560,7 +562,7 @@ fn established_pair(seed: u64) -> (SimNet, usize, usize, ConnId, ConnId) {
 #[test]
 fn inwindow_blind_rst_is_challenged_not_fatal() {
     let (mut net, nc, ns, conn, sconn) = established_pair(301);
-    let expected = stack(&mut net, ns).expected_wire_seq(sconn).unwrap();
+    let expected = stack(&mut net, ns).expected_seq(sconn).unwrap();
     let mut rst = forged(Endpoint::new(A, 5000), Endpoint::new(B, 80));
     rst.cm.flags.rst = true;
     rst.rd.seq = expected.wrapping_add(100); // in window, not exact
@@ -577,7 +579,7 @@ fn inwindow_blind_rst_is_challenged_not_fatal() {
 #[test]
 fn exact_sequence_rst_still_resets() {
     let (mut net, _nc, ns, _conn, sconn) = established_pair(302);
-    let expected = stack(&mut net, ns).expected_wire_seq(sconn).unwrap();
+    let expected = stack(&mut net, ns).expected_seq(sconn).unwrap();
     let mut rst = forged(Endpoint::new(A, 5000), Endpoint::new(B, 80));
     rst.cm.flags.rst = true;
     rst.rd.seq = expected;
@@ -591,7 +593,7 @@ fn exact_sequence_rst_still_resets() {
 #[test]
 fn outside_window_rst_is_ignored_silently() {
     let (mut net, _nc, ns, _conn, sconn) = established_pair(303);
-    let expected = stack(&mut net, ns).expected_wire_seq(sconn).unwrap();
+    let expected = stack(&mut net, ns).expected_seq(sconn).unwrap();
     let mut rst = forged(Endpoint::new(A, 5000), Endpoint::new(B, 80));
     rst.cm.flags.rst = true;
     rst.rd.seq = expected.wrapping_sub(100_000);
@@ -710,7 +712,7 @@ fn stale_half_open_is_evicted_for_fresh_syn() {
 #[test]
 fn ooo_spray_is_bounded_by_receiver_caps() {
     let (mut net, _nc, ns, _conn, sconn) = established_pair(305);
-    let expected = stack(&mut net, ns).expected_wire_seq(sconn).unwrap();
+    let expected = stack(&mut net, ns).expected_seq(sconn).unwrap();
     // Disjoint 100-byte segments sprayed ahead of rcv_nxt but *inside*
     // the RFC 793 validity window, so they reach the reassembly buffer:
     // more non-contiguous ranges than the receiver will hold.

@@ -18,6 +18,7 @@
 //! translation in both directions, which is what makes interoperation with
 //! the monolithic stack possible (experiment E7).
 
+use netsim::FrameMeta;
 pub use tcp_mono::wire::{Endpoint, FourTuple, WireError, MAX_FRAME_BYTES};
 
 /// Demultiplexing subheader — the only bits DM may touch.
@@ -99,6 +100,32 @@ pub struct Packet {
 /// the same simulated network.
 const MAGIC: u8 = 0x5B; // "SubLayered"
 
+/// Smallest well-formed packet: the fixed header with no SACK range and
+/// no payload.
+pub const MIN_PACKET_BYTES: usize = 36;
+
+/// Offset of the checksummed body, which opens with DM's ports: after
+/// the magic byte, both addresses and the checksum.
+const BODY_AT: usize = 11;
+
+/// Read the addressing off a native frame without checksumming or
+/// parsing the rest — just enough for a host to demux or a router to
+/// forward. `None` for a frame without the magic byte or below the
+/// fixed header, so a truncated or foreign frame classifies as `None`
+/// rather than panicking the ingest path.
+pub fn classify(frame: &[u8]) -> Option<FrameMeta> {
+    if frame.len() < MIN_PACKET_BYTES || frame[0] != MAGIC {
+        return None;
+    }
+    let u32_at =
+        |i: usize| u32::from_be_bytes([frame[i], frame[i + 1], frame[i + 2], frame[i + 3]]);
+    let u16_at = |i: usize| u16::from_be_bytes([frame[i], frame[i + 1]]);
+    Some(FrameMeta {
+        src: Endpoint::new(u32_at(1), u16_at(BODY_AT)),
+        dst: Endpoint::new(u32_at(5), u16_at(BODY_AT + 2)),
+    })
+}
+
 impl Packet {
     pub fn src(&self) -> Endpoint {
         Endpoint::new(self.src_addr, self.dm.src_port)
@@ -152,8 +179,8 @@ impl Packet {
         if bytes.first() != Some(&MAGIC) {
             return Err(WireError::BadMagic);
         }
-        if bytes.len() < 36 {
-            return Err(WireError::Truncated { need: 36, got: bytes.len() });
+        if bytes.len() < MIN_PACKET_BYTES {
+            return Err(WireError::Truncated { need: MIN_PACKET_BYTES, got: bytes.len() });
         }
         if bytes.len() > MAX_FRAME_BYTES {
             return Err(WireError::Oversized { limit: MAX_FRAME_BYTES, got: bytes.len() });
@@ -161,10 +188,10 @@ impl Packet {
         let src_addr = u32::from_be_bytes(bytes[1..5].try_into().unwrap());
         let dst_addr = u32::from_be_bytes(bytes[5..9].try_into().unwrap());
         let csum = u16::from_be_bytes([bytes[9], bytes[10]]);
-        if tcp_mono::wire::checksum(src_addr, dst_addr, &bytes[11..]) != csum {
+        if tcp_mono::wire::checksum(src_addr, dst_addr, &bytes[BODY_AT..]) != csum {
             return Err(WireError::BadChecksum);
         }
-        let b = &bytes[11..];
+        let b = &bytes[BODY_AT..];
         let mut i = 0;
         let u16_at = |i: &mut usize| {
             let v = u16::from_be_bytes([b[*i], b[*i + 1]]);
@@ -198,7 +225,8 @@ impl Packet {
             return Err(WireError::BadSackCount);
         }
         if b.len() < i + n_sack * 8 + 3 {
-            return Err(WireError::Truncated { need: 11 + i + n_sack * 8 + 3, got: bytes.len() });
+            let need = BODY_AT + i + n_sack * 8 + 3;
+            return Err(WireError::Truncated { need, got: bytes.len() });
         }
         let mut sack = Vec::with_capacity(n_sack);
         for _ in 0..n_sack {

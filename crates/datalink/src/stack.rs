@@ -18,7 +18,7 @@
 //! Each sublayer is held as a trait object, so experiment E1's fungibility
 //! claim is literal: swapping CRC-32 for CRC-64 (or HDLC framing for COBS)
 //! is one constructor argument and touches no other sublayer. The stack is
-//! a sans-IO [`Stack`](netsim::Stack), so it runs under `netsim` directly.
+//! a sans-IO [`Stack`], so it runs under `netsim` directly.
 
 use crate::arq::{ArqEndpoint, ArqScheme, ArqStats};
 use crate::coding::{symbols_to_wire, wire_to_symbols, LineCode};

@@ -178,7 +178,7 @@ impl BoxTopo {
         routes
     }
 
-    /// The installable form of [`BoxTopo::routes`]: per-router
+    /// The installable form of `BoxTopo::routes`: per-router
     /// `(host_addr, out_port)` pairs.
     pub fn route_tables(&self, failed: &[usize]) -> Vec<Vec<(u32, PortId)>> {
         self.routes(failed)

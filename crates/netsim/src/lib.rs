@@ -40,7 +40,10 @@ pub use event::EventQueue;
 pub use fault::{BurstLoss, FaultConfigError, FaultInjector, FaultProfile, FaultStats, Fate};
 pub use net::{AdminOp, DirStats, LinkId, LinkParams, Node, NodeCtx, NodeId, PortId, SimNet, TimerId};
 pub use rng::DetRng;
-pub use stack::{MultiStack, MultiStackNode, Stack, StackNode, TransportError};
+pub use stack::{
+    on_tick_all, poll_deadline_all, poll_transmit_all, Endpoint, FourTuple, FrameMeta, HostStack,
+    MultiStack, MultiStackNode, Stack, StackNode, TransportError,
+};
 pub use tap::{tap_buffer, SharedTap, TapDir, TapEvent, TapStack};
 pub use time::{Dur, Time};
 pub use workload::{HeavyTailed, OpenLoopArrivals, ReadBudget};

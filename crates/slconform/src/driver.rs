@@ -9,7 +9,7 @@
 //! oracle judges each captured trace on its own.
 //!
 //! Injections are byte-precise: the victim stack's own
-//! `expected_wire_seq` introspection aims the forged RST/SYN exactly
+//! `expected_seq` introspection aims the forged RST/SYN exactly
 //! (RFC 5961's "oracle attacker"), offset per [`RstOff`].
 
 use crate::absseg::{normalize, AbsSeg};
@@ -20,8 +20,8 @@ use netsim::{
     StackNode, TapEvent, TapStack, Time, TransportError,
 };
 use slhost::{observe, ConnObs, HostStack};
-use slmetrics::{muted, AttackCounters, CcCounters};
-use sublayer_core::{ConnId, SlConfig, SlTcpStack};
+use slmetrics::muted;
+use sublayer_core::{SlConfig, SlTcpStack};
 use tcp_mono::wire::{Endpoint, FourTuple};
 use tcp_mono::{Keepalive, TcpStack};
 
@@ -127,9 +127,10 @@ impl<S: Stack> Stack for BugStack<S> {
 }
 
 /// What the conformance driver and every `bench` campaign need from a
-/// transport beyond [`HostStack`]: one constructor over the settings the
-/// campaigns vary, plus the introspection they read. A campaign is
-/// written once over `H: ConformStack` and dispatched on [`Kind`].
+/// transport beyond [`HostStack`] (which carries the readouts they
+/// share): its [`Kind`] and one constructor over the settings the
+/// campaigns vary. A campaign is written once over `H: ConformStack` and
+/// dispatched on [`Kind`].
 pub trait ConformStack: HostStack + Sized {
     const KIND: Kind;
     /// A stack at `addr` running the shipped congestion controller `cc`,
@@ -140,26 +141,6 @@ pub trait ConformStack: HostStack + Sized {
     fn mk(addr: u32) -> Self {
         Self::mk_with(addr, "newreno", None)
     }
-    /// The next in-order wire sequence this endpoint accepts, for
-    /// byte-precise injection aiming.
-    fn expected_seq(&self, id: Self::ConnId) -> Option<u32>;
-    /// The connection's congestion-control counters.
-    fn conn_cc(&self, id: Self::ConnId) -> Option<CcCounters>;
-    /// Half-open (handshaking) connections held right now.
-    fn half_open_count(&self) -> usize;
-    /// This endpoint's adversarial-defense counters, `forged_segments`
-    /// left at 0 (the attacker counts those). Stack-wide counters come
-    /// from the stack's stats; the sublayered stack keeps its receive-side
-    /// drops in RD, per connection, so those are read for `conn` only.
-    ///
-    /// `invalid_seq_drops` is not the same event in both stacks. For the
-    /// sublayered stack it is RD's data-acceptability drop: forged data
-    /// outside the receive window. The monolith counts no such drop (it
-    /// answers out-of-window data with an ACK), so its column is
-    /// `old_ack_drops`: segments whose ACK field is too old (RFC 5961
-    /// §5), ACK-side noise. Forged out-of-window data therefore reads 0
-    /// for the monolith.
-    fn attack_counters(&self, conn: Option<Self::ConnId>) -> AttackCounters;
 }
 
 impl ConformStack for SlTcpStack {
@@ -167,29 +148,6 @@ impl ConformStack for SlTcpStack {
     fn mk_with(addr: u32, cc: &'static str, keepalive: Option<Keepalive>) -> Self {
         let cfg = SlConfig { cc, keepalive, ..SlConfig::default() };
         SlTcpStack::try_new(addr, cfg, muted()).expect("shipped controller")
-    }
-    fn expected_seq(&self, id: Self::ConnId) -> Option<u32> {
-        self.expected_wire_seq(id)
-    }
-    fn conn_cc(&self, id: ConnId) -> Option<CcCounters> {
-        SlTcpStack::conn_cc(self, id)
-    }
-    fn half_open_count(&self) -> usize {
-        SlTcpStack::half_open_count(self)
-    }
-    fn attack_counters(&self, conn: Option<ConnId>) -> AttackCounters {
-        let s = &self.stats;
-        let rd = conn.and_then(|id| self.rd_stats(id)).unwrap_or_default();
-        AttackCounters {
-            challenge_acks: self.challenge_acks(),
-            syn_cookies_sent: s.syn_cookies_sent,
-            syn_cookies_validated: s.syn_cookies_validated,
-            half_open_evictions: s.half_open_evictions,
-            bad_frames_rejected: s.bad_packets,
-            overflow_drops: rd.ooo_range_drops,
-            invalid_seq_drops: rd.invalid_seq_drops,
-            ..AttackCounters::default()
-        }
     }
 }
 
@@ -201,28 +159,6 @@ impl ConformStack for TcpStack {
             s.set_keepalive(ka);
         }
         s
-    }
-    fn expected_seq(&self, id: Self::ConnId) -> Option<u32> {
-        self.expected_wire_seq(id)
-    }
-    fn conn_cc(&self, id: FourTuple) -> Option<CcCounters> {
-        TcpStack::conn_cc(self, id)
-    }
-    fn half_open_count(&self) -> usize {
-        TcpStack::half_open_count(self)
-    }
-    fn attack_counters(&self, _conn: Option<FourTuple>) -> AttackCounters {
-        let s = &self.stats;
-        AttackCounters {
-            challenge_acks: s.challenge_acks,
-            syn_cookies_sent: s.syn_cookies_sent,
-            syn_cookies_validated: s.syn_cookies_validated,
-            half_open_evictions: s.half_open_evictions,
-            bad_frames_rejected: s.bad_segments,
-            overflow_drops: s.ooo_overflow_drops,
-            invalid_seq_drops: s.old_ack_drops,
-            ..AttackCounters::default()
-        }
     }
 }
 

@@ -49,6 +49,6 @@ pub use driver::{
     EndpointOut, Kind, Mutation, RunOut,
 };
 pub use multihop::{diff_multihop, run_multihop, MhOut, MhScenario};
-pub use natcodec::{nat_codec, peek_for, peek_mono, peek_sub, MonoNatCodec, SubNatCodec};
+pub use natcodec::{nat_codec, peek, MonoNatCodec, SubNatCodec};
 pub use scenario::{corpus, Ev, FaultKind, LinkSpec, RstOff, Scenario, Side};
 pub use wire::{RawSeg, Wire};

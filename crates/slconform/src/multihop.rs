@@ -35,7 +35,7 @@ use tcp_mono::wire::Endpoint;
 use tcp_mono::TcpStack;
 
 use crate::driver::{ConformStack, Kind};
-use crate::natcodec::{nat_codec, peek_for};
+use crate::natcodec::{nat_codec, peek};
 
 /// Server port for every multi-hop scenario.
 pub const MH_SERVER_PORT: u16 = 80;
@@ -275,7 +275,7 @@ fn base_out(sc: MhScenario, kind: Kind, seed: u64, payload: usize, streams: usiz
 fn reroute_run<H: ConformStack>(seed: u64) -> MhOut {
     let mut out = base_out(MhScenario::RerouteMidTransfer, H::KIND, seed, 1_000_000, 1);
     let mut net = SimNet::new(seed);
-    let bn: BoxNet = topo_diamond().build(&mut net, peek_for(H::KIND));
+    let bn: BoxNet = topo_diamond().build(&mut net, peek::<H>);
     let caddr = box_host_addr(0);
     let saddr = box_host_addr(1);
     let mut client = H::mk(caddr);
@@ -321,7 +321,7 @@ fn reroute_run<H: ConformStack>(seed: u64) -> MhOut {
 fn nat_run<H: ConformStack>(seed: u64) -> MhOut {
     let mut out = base_out(MhScenario::NatRestart, H::KIND, seed, 2_000_000, 1);
     let mut net = SimNet::new(seed);
-    let bn: BoxNet = topo_nat_gateway().build(&mut net, peek_for(H::KIND));
+    let bn: BoxNet = topo_nat_gateway().build(&mut net, peek::<H>);
     let public = box_host_addr(0);
     let saddr = box_host_addr(1);
     let mut client = H::mk(MH_PRIVATE_ADDR);
@@ -412,7 +412,7 @@ fn fanin_run<H: ConformStack>(seed: u64) -> MhOut {
     let n_clients = 3;
     let mut out = base_out(MhScenario::FaninBottleneck, H::KIND, seed, 150_000, n_clients);
     let mut net = SimNet::new(seed);
-    let bn: BoxNet = topo_fanin().build(&mut net, peek_for(H::KIND));
+    let bn: BoxNet = topo_fanin().build(&mut net, peek::<H>);
     let saddr = box_host_addr(3);
     let mut server = H::mk(saddr);
     server.listen(MH_SERVER_PORT);

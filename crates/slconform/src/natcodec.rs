@@ -1,48 +1,29 @@
-//! Per-format network knowledge for the multi-hop fabric: address peeks
+//! Per-format network knowledge for the multi-hop fabric: an address peek
 //! for `netlayer`'s [`StaticRouter`](netlayer::StaticRouter) ingress and
 //! [`NatCodec`] implementations for its [`NatBox`](netlayer::NatBox).
 //!
 //! `netlayer` deliberately knows neither transport's wire format; the
-//! router reads addresses through an [`AddrPeek`] function pointer and the
-//! NAT rewrites endpoints through a boxed codec. Both live here, next to
-//! the formats they understand. Every rewrite round-trips through the
-//! real `Segment`/`Packet` codecs, so checksums are re-sealed and a
-//! mangled frame comes out as `None` (the middlebox drops it as
-//! malformed) rather than as garbage on the wire.
+//! router reads addresses through an [`AddrPeek`](netlayer::AddrPeek)
+//! function pointer and the NAT rewrites endpoints through a boxed codec.
+//! The peek is [`peek`], generic over the stack: it reads each format
+//! through the stack's own `classify_frame`, defined in its wire module.
+//! The codecs live here. Every rewrite round-trips through the real
+//! `Segment`/`Packet` codecs, so checksums are re-sealed and a mangled
+//! frame comes out as `None` (the middlebox drops it as malformed) rather
+//! than as garbage on the wire.
 
-use netlayer::{AddrPeek, NatCodec};
+use netlayer::NatCodec;
+use netsim::HostStack;
 use sublayer_core::wire::Packet;
 use tcp_mono::wire::{Endpoint, Segment};
 
 use crate::wire::Wire;
 use crate::Kind;
 
-/// [`AddrPeek`] for the monolithic RFC 793 format (8-byte address header).
-pub fn peek_mono(frame: &[u8]) -> Option<(u32, u32)> {
-    if frame.len() < 28 {
-        return None;
-    }
-    let src = u32::from_be_bytes(frame.get(0..4)?.try_into().ok()?);
-    let dst = u32::from_be_bytes(frame.get(4..8)?.try_into().ok()?);
-    Some((src, dst))
-}
-
-/// [`AddrPeek`] for the sublayered native format (magic byte, then addrs).
-pub fn peek_sub(frame: &[u8]) -> Option<(u32, u32)> {
-    if frame.len() < 36 || frame[0] != 0x5B {
-        return None;
-    }
-    let src = u32::from_be_bytes(frame.get(1..5)?.try_into().ok()?);
-    let dst = u32::from_be_bytes(frame.get(5..9)?.try_into().ok()?);
-    Some((src, dst))
-}
-
-/// The peek matching a stack kind.
-pub fn peek_for(kind: Kind) -> AddrPeek {
-    match kind {
-        Kind::Mono => peek_mono,
-        Kind::Sub => peek_sub,
-    }
+/// [`AddrPeek`](netlayer::AddrPeek) for stack `H`'s wire format: the
+/// addresses its [`HostStack::classify_frame`] reads.
+pub fn peek<H: HostStack>(frame: &[u8]) -> Option<(u32, u32)> {
+    H::classify_frame(frame).map(|m| (m.src.addr, m.dst.addr))
 }
 
 /// The NAT codec matching a stack kind.
@@ -141,7 +122,11 @@ impl NatCodec for SubNatCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{corpus, run_scenario, ConformStack};
+    use netsim::FrameMeta;
+    use sublayer_core::SlTcpStack;
     use tcp_mono::wire::ACK;
+    use tcp_mono::TcpStack;
 
     const C: Endpoint = Endpoint { addr: 0x0A000001, port: 5000 };
     const S: Endpoint = Endpoint { addr: 0x0A000002, port: 80 };
@@ -176,16 +161,46 @@ mod tests {
         p.encode()
     }
 
+    /// Every frame both endpoints of a lossy transfer saw, in `H`'s format.
+    fn lossy_frames<H: ConformStack>() -> Vec<Vec<u8>> {
+        let sc = corpus().into_iter().find(|sc| sc.name == "loss_2pct_transfer").unwrap();
+        let out = run_scenario::<H>(&sc, 7);
+        let frames: Vec<Vec<u8>> =
+            out.client.raw.iter().chain(&out.server.raw).map(|e| e.bytes.clone()).collect();
+        assert!(frames.len() > 40, "{:?}: a transfer's worth of frames", H::KIND);
+        frames
+    }
+
+    /// The three `classify_frame` checks for stack `H`, whose codec's
+    /// floor is `floor`; `Other` is the stack with the other format.
+    fn classify_checks<H: ConformStack, Other: ConformStack>(floor: usize) {
+        let codec = nat_codec(H::KIND);
+        for f in lossy_frames::<H>() {
+            // Same endpoints as the full decode.
+            let ((sa, sp), (da, dp)) = codec.tuple(&f).expect("captured frames decode");
+            let full = FrameMeta { src: Endpoint::new(sa, sp), dst: Endpoint::new(da, dp) };
+            assert_eq!(H::classify_frame(&f), Some(full));
+            assert_eq!(peek::<H>(&f), Some((sa, da)));
+            // Every truncation below the floor is refused; the floor is tight.
+            for len in 0..floor {
+                assert_eq!(H::classify_frame(&f[..len]), None, "{:?} at {len} bytes", H::KIND);
+            }
+            assert_eq!(H::classify_frame(&f[..floor]), Some(full));
+            // Under the other stack the frame never demuxes to its own
+            // connection: the sublayered magic byte refuses RFC 793 frames
+            // outright, while RFC 793 has no magic byte and reads the
+            // native header as some other address pair.
+            match Other::KIND {
+                Kind::Sub => assert_eq!(Other::classify_frame(&f), None),
+                Kind::Mono => assert_ne!(Other::classify_frame(&f), Some(full)),
+            }
+        }
+    }
+
     #[test]
-    fn peeks_read_addresses_and_reject_the_other_format() {
-        let m = mono_data(b"hi");
-        let s = sub_data(b"hi");
-        assert_eq!(peek_mono(&m), Some((C.addr, S.addr)));
-        assert_eq!(peek_sub(&s), Some((C.addr, S.addr)));
-        assert_eq!(peek_sub(&m), None, "mono frame must not peek as sub");
-        // The mono peek has no magic byte; it may read garbage addresses
-        // off a sub frame, but in a single-format topology that is moot.
-        assert!(peek_mono(&[0u8; 8]).is_none(), "short frames are rejected");
+    fn classify_frame_matches_the_codecs_on_both_stacks() {
+        classify_checks::<SlTcpStack, TcpStack>(sublayer_core::wire::MIN_PACKET_BYTES);
+        classify_checks::<TcpStack, SlTcpStack>(tcp_mono::wire::MIN_SEGMENT_BYTES);
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub enum Ev {
     /// Hard abort (RST).
     Abort { side: Side },
     /// Forge an off-path RST at the victim, aimed by [`RstOff`] using the
-    /// victim stack's own `expected_wire_seq` introspection.
+    /// victim stack's own `expected_seq` introspection.
     InjectRst { to: Side, off: RstOff },
     /// Forge a duplicate SYN for the established 4-tuple at the victim
     /// (RFC 5961 §4: must elicit a challenge ACK, not a new handshake).

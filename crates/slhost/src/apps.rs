@@ -1,8 +1,7 @@
 //! Reference [`HostApp`]s.
 
 use crate::host::{Host, HostApp, HostEvent};
-use crate::stack::HostStack;
-use netsim::Time;
+use netsim::{HostStack, Time};
 
 /// Echoes every received byte back to its sender; closes when the peer
 /// does. The server side of the scale experiment's request/response

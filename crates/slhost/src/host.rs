@@ -19,9 +19,8 @@
 //!   without limit.
 
 use crate::budget::ResourceBudget;
-use crate::stack::HostStack;
 use crate::wheel::{TimerKey, TimerWheel};
-use netsim::{Dur, MultiStack, PortId, Time, TransportError};
+use netsim::{Dur, HostStack, MultiStack, PortId, Time, TransportError};
 use slmetrics::{HostCounters, Pressure};
 use std::collections::{HashMap, VecDeque};
 use tcp_mono::wire::Endpoint;

@@ -14,8 +14,9 @@
 //! - a bounded accept backlog,
 //! - an edge-triggered readiness API ([`HostEvent`]).
 //!
-//! [`HostStack`] is the host-facing contract both stacks implement; the
-//! API-parity test runs the same scripted scenario against both. The
+//! [`HostStack`] (defined in `netsim`, next to `Stack`) is the
+//! host-facing contract both stacks implement in place; the API-parity
+//! test runs the same scripted scenario against both. The
 //! scale experiment (E15, `bench::scale` / `exp scale`) sweeps 100 → 5000
 //! concurrent clients over both stacks and both timer modes.
 
@@ -23,12 +24,11 @@ pub mod apps;
 pub mod budget;
 pub mod differ;
 pub mod host;
-pub mod stack;
 pub mod wheel;
 
 pub use apps::EchoApp;
 pub use budget::ResourceBudget;
 pub use differ::{observe, ConnObs};
 pub use host::{Host, HostApp, HostConfig, HostEvent, ServedHost, TimerMode};
-pub use stack::{FrameMeta, HostStack};
+pub use netsim::{FrameMeta, HostStack};
 pub use wheel::{TimerKey, TimerWheel};

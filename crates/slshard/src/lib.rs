@@ -15,7 +15,7 @@
 //!   factory; only frames and counters cross threads.
 //! - **Determinism**: shards stamp emitted frames with a per-shard
 //!   logical clock and the coordinator merges them with a stable
-//!   shard-index tie-break ([`merge`]). Commands reach each shard in FIFO
+//!   shard-index tie-break ([`merge()`]). Commands reach each shard in FIFO
 //!   ring order and replies are collected shard-by-shard, so the merged
 //!   stream is a function of the command history, never of OS
 //!   scheduling — threaded runs replay byte-identically, and identically

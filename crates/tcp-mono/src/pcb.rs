@@ -138,9 +138,9 @@ pub struct Pcb {
     /// When the oldest currently-unacked data last made cumulative-ack
     /// progress (armed when data goes outstanding, re-anchored on every
     /// ack advance, cleared when all acked). During a partition this ages
-    /// linearly while `snd_buf` stays capped at [`SND_BUF_CAP`]
-    /// (`crate::stack::SND_BUF_CAP`) — the oldest-segment accounting the
-    /// host's resource budget reads.
+    /// linearly while `snd_buf` stays capped at
+    /// [`SND_BUF_CAP`](crate::stack::SND_BUF_CAP) — the oldest-segment
+    /// accounting the host's resource budget reads.
     pub una_since: Option<Time>,
 
     pub mss: u32,

@@ -14,9 +14,9 @@ use crate::hash::FxBuildHasher;
 use crate::pcb::*;
 use crate::seq;
 use crate::wire::{Endpoint, FourTuple, Segment, ACK, FIN, PSH, RST, SYN};
-use netsim::{Dur, Stack, Time, TransportError};
+use netsim::{Dur, FrameMeta, HostStack, Stack, Time, TransportError};
 use slcc::{CcError, CongSignal, NewReno, RateController};
-use slmetrics::{Pressure, SharedLog};
+use slmetrics::{AttackCounters, Pressure, SharedLog};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Aggregate counters.
@@ -171,69 +171,13 @@ impl TcpStack {
         self.cc_template.name()
     }
 
-    pub fn addr(&self) -> u32 {
-        self.addr
-    }
-
     /// Enable keepalive probing for all connections on this host.
     pub fn set_keepalive(&mut self, ka: Keepalive) {
         self.keepalive = Some(ka);
     }
 
-    /// Bound the connection table (default 16384).
-    pub fn set_max_conns(&mut self, n: usize) {
-        self.max_conns = n;
-    }
-
-    /// Update the host memory-pressure signal. Everything downstream —
-    /// window stamping, ack pacing, accept gating — reads the shared
-    /// field directly; no per-connection fan-out exists to forget.
-    pub fn set_pressure(&mut self, p: Pressure) {
-        self.log.borrow_mut().w(FC, "pressure");
-        self.pressure = p;
-    }
-
     pub fn pressure(&self) -> Pressure {
         self.pressure
-    }
-
-    /// Explicitly gate new-flow admission (host drain/quiesce),
-    /// independent of the pressure tier.
-    pub fn gate_new_flows(&mut self, refuse: bool) {
-        self.log.borrow_mut().w(CONN, "gate");
-        self.gate = refuse;
-    }
-
-    /// One connection's share of [`TcpStack::buffered_bytes`].
-    pub fn conn_buffered(&self, tuple: FourTuple) -> usize {
-        self.conns.get(&tuple).map_or(0, |p| {
-            p.snd_buf.len()
-                + p.rcv_buf.len()
-                + p.ooo.values().map(|d| d.len()).sum::<usize>()
-        })
-    }
-
-    /// Bytes currently pinned awaiting retransmission (the unacked prefix
-    /// of `snd_buf`, bounded by [`SND_BUF_CAP`] no matter how long the
-    /// path stays partitioned).
-    pub fn conn_rtx_bytes(&self, tuple: FourTuple) -> usize {
-        self.conns
-            .get(&tuple)
-            .map_or(0, |p| (p.flight_size() as usize).min(p.snd_buf.len()))
-    }
-
-    /// How long the oldest unacked data has waited without cumulative ack
-    /// progress — the partition-age signal a host budget can act on.
-    pub fn conn_oldest_unacked(&self, tuple: FourTuple, now: Time) -> Option<Dur> {
-        self.conns.get(&tuple).and_then(|p| p.oldest_unacked_age(now))
-    }
-
-    /// Monotone progress counter for slow-drain detection: in-order bytes
-    /// received plus bytes the peer has cumulatively acknowledged.
-    pub fn conn_progress(&self, tuple: FourTuple) -> u64 {
-        self.conns.get(&tuple).map_or(0, |p| {
-            p.rcv_nxt.wrapping_sub(p.irs) as u64 + p.snd_una.wrapping_sub(p.iss) as u64
-        })
     }
 
     /// Advertised window under the stack-global pressure clamp. Every
@@ -246,20 +190,6 @@ impl TcpStack {
         self.log.borrow_mut().r(FC, "pressure");
         self.log.borrow_mut().r(FC, "rcv_wnd");
         (pcb.rcv_wnd() >> self.pressure.wnd_shift()).min(u16::MAX as u32) as u16
-    }
-
-    /// The terminal error recorded for `tuple`, if the connection was
-    /// aborted (locally or by the peer) rather than closed cleanly.
-    /// Per-connection congestion-control observability: window samples
-    /// and loss/recovery event counts ([`slmetrics::CcCounters`], the
-    /// same shape the sublayered stack fills — E19 reads both like for
-    /// like).
-    pub fn conn_cc(&self, tuple: FourTuple) -> Option<slmetrics::CcCounters> {
-        self.conns.get(&tuple).map(|p| p.cc_stats)
-    }
-
-    pub fn conn_error(&self, tuple: FourTuple) -> Option<TransportError> {
-        self.errors.get(&tuple).copied()
     }
 
     /// RFC 793 clock-driven ISN ("unique in time using the low-order bits
@@ -277,49 +207,11 @@ impl TcpStack {
         clock.wrapping_add(salt)
     }
 
-    /// Begin listening for connections on a local port.
-    pub fn listen(&mut self, port: u16) {
-        self.listeners.insert(port);
-    }
-
     /// Actively open a connection; returns its id. Panics if the table
     /// cannot admit it — use [`TcpStack::try_connect`] when refusal must
     /// be a value, not a crash.
     pub fn connect(&mut self, now: Time, local_port: u16, remote: Endpoint) -> FourTuple {
         self.try_connect(now, local_port, remote).expect("tuple free")
-    }
-
-    /// Active open surfacing capacity as a typed error instead of a panic:
-    /// a full connection table or an already-bound tuple both mean the
-    /// table cannot admit this connection.
-    pub fn try_connect(
-        &mut self,
-        now: Time,
-        local_port: u16,
-        remote: Endpoint,
-    ) -> Result<FourTuple, TransportError> {
-        if self.conns.len() >= self.max_conns {
-            return Err(TransportError::ConnTableFull);
-        }
-        let tuple = FourTuple {
-            local: Endpoint::new(self.addr, local_port),
-            remote,
-        };
-        if self.conns.contains_key(&tuple) {
-            return Err(TransportError::ConnTableFull);
-        }
-        self.log.borrow_mut().w(CONN, "state");
-        self.log.borrow_mut().w(CONN, "iss");
-        let iss = self.isn(now, &tuple);
-        let mut pcb = Pcb::with_cc(tuple, TcpState::SynSent, iss, self.cc_template.clone());
-        pcb.snd_nxt = iss.wrapping_add(1);
-        pcb.snd_max = pcb.snd_nxt;
-        pcb.rto_deadline = Some(now + pcb.rto);
-        pcb.last_rx = now;
-        self.stats.conns_opened += 1;
-        self.send_syn(&mut pcb, false);
-        self.conns.insert(tuple, pcb);
-        Ok(tuple)
     }
 
     /// Allocate an ephemeral local port toward `remote`, or `None` once
@@ -335,92 +227,6 @@ impl TcpStack {
             }
         }
         None
-    }
-
-    /// Active open with an ephemeral local port.
-    pub fn connect_ephemeral(&mut self, now: Time, remote: Endpoint) -> FourTuple {
-        self.try_connect_ephemeral(now, remote).expect("ephemeral port free")
-    }
-
-    /// Active open with an ephemeral local port, surfacing port
-    /// exhaustion and table capacity as typed errors.
-    pub fn try_connect_ephemeral(
-        &mut self,
-        now: Time,
-        remote: Endpoint,
-    ) -> Result<FourTuple, TransportError> {
-        if self.conns.len() >= self.max_conns {
-            return Err(TransportError::ConnTableFull);
-        }
-        let Some(port) = self.ephemeral_port(remote) else {
-            return Err(TransportError::PortsExhausted);
-        };
-        self.try_connect(now, port, remote)
-    }
-
-    /// Queue application data. Returns bytes accepted — short counts mean
-    /// the bounded send buffer is full (backpressure; retry after acks
-    /// drain it).
-    pub fn send(&mut self, tuple: FourTuple, data: &[u8]) -> usize {
-        let Some(pcb) = self.conns.get_mut(&tuple) else { return 0 };
-        if !pcb.state.can_send() || pcb.fin_queued {
-            return 0;
-        }
-        self.log.borrow_mut().w(RD, "snd_buf");
-        let n = data.len().min(SND_BUF_CAP.saturating_sub(pcb.snd_buf.len()));
-        pcb.snd_buf.extend(data[..n].iter().copied());
-        n
-    }
-
-    /// Drain received in-order bytes.
-    pub fn recv(&mut self, tuple: FourTuple) -> Vec<u8> {
-        let Some(pcb) = self.conns.get_mut(&tuple) else { return Vec::new() };
-        self.log.borrow_mut().r(RD, "rcv_buf");
-        self.log.borrow_mut().w(FC, "rcv_wnd");
-        let out: Vec<u8> = pcb.rcv_buf.drain(..).collect();
-        // The window just opened; let the peer know — unless its FIN
-        // already arrived: no more data can come, and the gratuitous
-        // update would poke a peer whose TCB may already be deleted.
-        if !out.is_empty()
-            && !matches!(
-                pcb.state,
-                TcpState::CloseWait
-                    | TcpState::Closing
-                    | TcpState::LastAck
-                    | TcpState::TimeWait
-            )
-        {
-            pcb.ack_pending = true;
-        }
-        out
-    }
-
-    /// Graceful close: FIN after the send buffer drains.
-    pub fn close(&mut self, tuple: FourTuple) {
-        let Some(pcb) = self.conns.get_mut(&tuple) else { return };
-        self.log.borrow_mut().w(CONN, "state");
-        match pcb.state {
-            TcpState::Established | TcpState::SynRcvd => {
-                pcb.fin_queued = true;
-                pcb.state = TcpState::FinWait1;
-            }
-            TcpState::CloseWait => {
-                pcb.fin_queued = true;
-                pcb.state = TcpState::LastAck;
-            }
-            TcpState::SynSent => {
-                self.conns.remove(&tuple);
-            }
-            _ => {}
-        }
-    }
-
-    /// Hard reset.
-    pub fn abort(&mut self, tuple: FourTuple) {
-        if let Some(pcb) = self.conns.remove(&tuple) {
-            self.errors.entry(tuple).or_insert(TransportError::Reset);
-            self.send_rst(&pcb);
-        }
     }
 
     /// RST the peer of an existing connection.
@@ -443,111 +249,14 @@ impl TcpStack {
         self.conns.get(&tuple).map_or(TcpState::Closed, |p| p.state)
     }
 
-    /// Connections currently established (for the passive side to
-    /// discover accepted peers).
-    pub fn established(&self) -> Vec<FourTuple> {
-        let mut v: Vec<FourTuple> = self
-            .conns
-            .iter()
-            .filter(|(_, p)| p.state == TcpState::Established)
-            .map(|(&t, _)| t)
-            .collect();
-        v.sort();
-        v
-    }
-
     /// Bytes queued but not yet acknowledged.
     pub fn unacked_len(&self, tuple: FourTuple) -> usize {
         self.conns.get(&tuple).map_or(0, |p| p.snd_buf.len())
     }
 
-    pub fn conn_count(&self) -> usize {
-        self.conns.len()
-    }
-
-    /// In-order received bytes available to `recv` without draining them.
-    pub fn readable_len(&self, tuple: FourTuple) -> usize {
-        self.conns.get(&tuple).map_or(0, |p| p.rcv_buf.len())
-    }
-
-    /// How many bytes `send` would accept right now (0 once the stream is
-    /// closing or the connection is gone).
-    pub fn send_capacity(&self, tuple: FourTuple) -> usize {
-        match self.conns.get(&tuple) {
-            Some(p) if p.state.can_send() && !p.fin_queued => {
-                SND_BUF_CAP.saturating_sub(p.snd_buf.len())
-            }
-            _ => 0,
-        }
-    }
-
-    /// Has the peer's FIN been processed? (EOF for the application.)
-    pub fn peer_closed(&self, tuple: FourTuple) -> bool {
-        matches!(
-            self.state(tuple),
-            TcpState::CloseWait | TcpState::Closing | TcpState::LastAck | TcpState::TimeWait
-        )
-    }
-
-    /// Pop one already-encoded segment without scanning any connection —
-    /// the host layer's transmit path ([`TcpStack::pump_conn`] is what
-    /// fills the outbox).
-    pub fn take_frame(&mut self) -> Option<Vec<u8>> {
-        self.outbox.pop_front()
-    }
-
-    /// Run one connection's output path (tcp_output) — the
-    /// per-connection half of `poll_transmit`, for hosts that know which
-    /// connection changed.
-    pub fn pump_conn(&mut self, now: Time, tuple: FourTuple) {
-        self.output(now, tuple);
-    }
-
-    /// Next timer deadline for *one* connection, so a host can keep one
-    /// wheel entry per connection instead of scanning them all.
-    pub fn conn_deadline(&self, _now: Time, tuple: FourTuple) -> Option<Time> {
-        let p = self.conns.get(&tuple)?;
-        let ka_due = self.keepalive.and_then(|ka| {
-            (p.state == TcpState::Established).then(|| {
-                p.last_rx + ka.idle + ka.interval.saturating_mul(p.ka_probes as u64)
-            })
-        });
-        [
-            p.rto_deadline,
-            p.time_wait_deadline,
-            p.persist_deadline,
-            p.delayed_ack_deadline,
-            ka_due,
-        ]
-        .into_iter()
-        .flatten()
-        .min()
-    }
-
     /// Direct PCB access for tests and campaign invariants (read-only).
     pub fn pcb(&self, tuple: FourTuple) -> Option<&Pcb> {
         self.conns.get(&tuple)
-    }
-
-    /// The wire sequence number this connection expects next — what an
-    /// exact-sequence ("oracle") attacker would have to guess. Mirrors
-    /// `SlTcpStack::expected_wire_seq` so differential harnesses can
-    /// craft byte-precise injections against either stack.
-    pub fn expected_wire_seq(&self, tuple: FourTuple) -> Option<u32> {
-        self.conns.get(&tuple).map(|p| p.rcv_nxt)
-    }
-
-    /// Total bytes held across all connection buffers — the quantity the
-    /// resource-governance invariants bound under attack.
-    pub fn buffered_bytes(&self) -> usize {
-        self.conns
-            .values()
-            .map(|p| {
-                p.snd_buf.len()
-                    + p.rcv_buf.len()
-                    + p.ooo.values().map(|d| d.len()).sum::<usize>()
-            })
-            .sum()
     }
 
     fn push(&mut self, seg: Segment) {
@@ -613,11 +322,6 @@ impl TcpStack {
         };
         self.stats.challenge_acks += 1;
         self.push(seg);
-    }
-
-    /// Connections still completing the handshake (SYN queue occupancy).
-    pub fn half_open_count(&self) -> usize {
-        self.conns.values().filter(|p| p.state == TcpState::SynRcvd).count()
     }
 
     /// Oldest half-open connection that has sat at least one RTO without
@@ -1416,21 +1120,245 @@ impl TcpStack {
         }
     }
 
-    /// Timer processing: RTO, TIME_WAIT, persist (zero-window probe).
-    /// Sorted so every same-seed run ticks connections in the same order
-    /// (HashMap iteration order is not deterministic).
-    fn timers(&mut self, now: Time) {
-        let mut tuples: Vec<FourTuple> = self.conns.keys().copied().collect();
-        tuples.sort();
-        for tuple in tuples {
-            self.tick_conn(now, tuple);
+}
+
+impl Stack for TcpStack {
+    fn on_frame(&mut self, now: Time, frame: &[u8]) {
+        match Segment::decode(frame) {
+            Ok(seg) => self.on_segment(now, seg),
+            Err(_) => self.stats.bad_segments += 1,
         }
     }
 
-    /// Advance one connection's timers to `now` (the per-connection half
-    /// of `on_tick`, for hosts that track deadlines per connection);
-    /// spurious calls are harmless.
-    pub fn tick_conn(&mut self, now: Time, tuple: FourTuple) {
+    fn poll_transmit(&mut self, now: Time) -> Option<Vec<u8>> {
+        netsim::poll_transmit_all(self, now)
+    }
+
+    fn poll_deadline(&self, now: Time) -> Option<Time> {
+        netsim::poll_deadline_all(self, now)
+    }
+
+    fn on_tick(&mut self, now: Time) {
+        netsim::on_tick_all(self, now);
+    }
+}
+
+impl HostStack for TcpStack {
+    type ConnId = FourTuple;
+
+    fn local_addr(&self) -> u32 {
+        self.addr
+    }
+
+    fn listen(&mut self, port: u16) {
+        self.listeners.insert(port);
+    }
+
+    /// Bound the connection table (default 16384).
+    fn set_max_conns(&mut self, n: usize) {
+        self.max_conns = n;
+    }
+
+    fn try_connect(
+        &mut self,
+        now: Time,
+        local_port: u16,
+        remote: Endpoint,
+    ) -> Result<FourTuple, TransportError> {
+        if self.conns.len() >= self.max_conns {
+            return Err(TransportError::ConnTableFull);
+        }
+        let tuple = FourTuple {
+            local: Endpoint::new(self.addr, local_port),
+            remote,
+        };
+        if self.conns.contains_key(&tuple) {
+            return Err(TransportError::ConnTableFull);
+        }
+        self.log.borrow_mut().w(CONN, "state");
+        self.log.borrow_mut().w(CONN, "iss");
+        let iss = self.isn(now, &tuple);
+        let mut pcb = Pcb::with_cc(tuple, TcpState::SynSent, iss, self.cc_template.clone());
+        pcb.snd_nxt = iss.wrapping_add(1);
+        pcb.snd_max = pcb.snd_nxt;
+        pcb.rto_deadline = Some(now + pcb.rto);
+        pcb.last_rx = now;
+        self.stats.conns_opened += 1;
+        self.send_syn(&mut pcb, false);
+        self.conns.insert(tuple, pcb);
+        Ok(tuple)
+    }
+
+    fn try_connect_ephemeral(
+        &mut self,
+        now: Time,
+        remote: Endpoint,
+    ) -> Result<FourTuple, TransportError> {
+        if self.conns.len() >= self.max_conns {
+            return Err(TransportError::ConnTableFull);
+        }
+        let Some(port) = self.ephemeral_port(remote) else {
+            return Err(TransportError::PortsExhausted);
+        };
+        self.try_connect(now, port, remote)
+    }
+
+    fn send(&mut self, tuple: FourTuple, data: &[u8]) -> usize {
+        let Some(pcb) = self.conns.get_mut(&tuple) else { return 0 };
+        if !pcb.state.can_send() || pcb.fin_queued {
+            return 0;
+        }
+        self.log.borrow_mut().w(RD, "snd_buf");
+        let n = data.len().min(SND_BUF_CAP.saturating_sub(pcb.snd_buf.len()));
+        pcb.snd_buf.extend(data[..n].iter().copied());
+        n
+    }
+
+    fn recv(&mut self, tuple: FourTuple) -> Vec<u8> {
+        let Some(pcb) = self.conns.get_mut(&tuple) else { return Vec::new() };
+        self.log.borrow_mut().r(RD, "rcv_buf");
+        self.log.borrow_mut().w(FC, "rcv_wnd");
+        let out: Vec<u8> = pcb.rcv_buf.drain(..).collect();
+        // The window just opened; let the peer know — unless its FIN
+        // already arrived: no more data can come, and the gratuitous
+        // update would poke a peer whose TCB may already be deleted.
+        if !out.is_empty()
+            && !matches!(
+                pcb.state,
+                TcpState::CloseWait
+                    | TcpState::Closing
+                    | TcpState::LastAck
+                    | TcpState::TimeWait
+            )
+        {
+            pcb.ack_pending = true;
+        }
+        out
+    }
+
+    fn close(&mut self, tuple: FourTuple) {
+        let Some(pcb) = self.conns.get_mut(&tuple) else { return };
+        self.log.borrow_mut().w(CONN, "state");
+        match pcb.state {
+            TcpState::Established | TcpState::SynRcvd => {
+                pcb.fin_queued = true;
+                pcb.state = TcpState::FinWait1;
+            }
+            TcpState::CloseWait => {
+                pcb.fin_queued = true;
+                pcb.state = TcpState::LastAck;
+            }
+            TcpState::SynSent => {
+                self.conns.remove(&tuple);
+            }
+            _ => {}
+        }
+    }
+
+    fn abort(&mut self, _now: Time, tuple: FourTuple) {
+        if let Some(pcb) = self.conns.remove(&tuple) {
+            self.errors.entry(tuple).or_insert(TransportError::Reset);
+            self.send_rst(&pcb);
+        }
+    }
+
+    fn is_established(&self, tuple: FourTuple) -> bool {
+        // Parity tie-break (conformance audit): the sublayered CM models
+        // remote half-close as Established + `peer_closed` — there is no
+        // CLOSE_WAIT sublayer state, because "peer finished sending" is a
+        // delivery fact, not a connection-management one. CLOSE_WAIT is
+        // the monolith's name for the same condition (synchronized, app
+        // may still send), so it reads as established through the parity
+        // surface; `peer_closed` carries the half-close either way.
+        matches!(self.state(tuple), TcpState::Established | TcpState::CloseWait)
+    }
+
+    fn is_closed(&self, tuple: FourTuple) -> bool {
+        self.state(tuple) == TcpState::Closed
+    }
+
+    fn peer_closed(&self, tuple: FourTuple) -> bool {
+        matches!(
+            self.state(tuple),
+            TcpState::CloseWait | TcpState::Closing | TcpState::LastAck | TcpState::TimeWait
+        )
+    }
+
+    fn conn_error(&self, tuple: FourTuple) -> Option<TransportError> {
+        self.errors.get(&tuple).copied()
+    }
+
+    fn readable_len(&self, tuple: FourTuple) -> usize {
+        self.conns.get(&tuple).map_or(0, |p| p.rcv_buf.len())
+    }
+
+    fn send_capacity(&self, tuple: FourTuple) -> usize {
+        match self.conns.get(&tuple) {
+            Some(p) if p.state.can_send() && !p.fin_queued => {
+                SND_BUF_CAP.saturating_sub(p.snd_buf.len())
+            }
+            _ => 0,
+        }
+    }
+
+    fn established(&self) -> Vec<FourTuple> {
+        let mut v: Vec<FourTuple> = self
+            .conns
+            .iter()
+            .filter(|(_, p)| p.state == TcpState::Established)
+            .map(|(&t, _)| t)
+            .collect();
+        v.sort();
+        v
+    }
+
+    fn conn_count(&self) -> usize {
+        self.conns.len()
+    }
+
+    fn conn_ids(&self) -> impl Iterator<Item = FourTuple> + '_ {
+        self.conns.keys().copied()
+    }
+
+    fn classify_frame(frame: &[u8]) -> Option<FrameMeta> {
+        crate::wire::classify(frame)
+    }
+
+    fn conn_for_tuple(&self, tuple: &FourTuple) -> Option<FourTuple> {
+        self.pcb(*tuple).map(|p| p.tuple)
+    }
+
+    fn take_frame(&mut self) -> Option<Vec<u8>> {
+        self.outbox.pop_front()
+    }
+
+    /// Run one connection's output path (tcp_output) — the
+    /// per-connection half of `poll_transmit`, for hosts that know which
+    /// connection changed.
+    fn pump_conn(&mut self, now: Time, tuple: FourTuple) {
+        self.output(now, tuple);
+    }
+
+    fn conn_deadline(&self, _now: Time, tuple: FourTuple) -> Option<Time> {
+        let p = self.conns.get(&tuple)?;
+        let ka_due = self.keepalive.and_then(|ka| {
+            (p.state == TcpState::Established).then(|| {
+                p.last_rx + ka.idle + ka.interval.saturating_mul(p.ka_probes as u64)
+            })
+        });
+        [
+            p.rto_deadline,
+            p.time_wait_deadline,
+            p.persist_deadline,
+            p.delayed_ack_deadline,
+            ka_due,
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+    }
+
+    fn tick_conn(&mut self, now: Time, tuple: FourTuple) {
         {
             let Some(mut pcb) = self.conns.remove(&tuple) else { return };
 
@@ -1577,36 +1505,88 @@ impl TcpStack {
             self.conns.insert(tuple, pcb);
         }
     }
-}
 
-impl Stack for TcpStack {
-    fn on_frame(&mut self, now: Time, frame: &[u8]) {
-        match Segment::decode(frame) {
-            Ok(seg) => self.on_segment(now, seg),
-            Err(_) => self.stats.bad_segments += 1,
+    /// Update the host memory-pressure signal. Everything downstream —
+    /// window stamping, ack pacing, accept gating — reads the shared
+    /// field directly; no per-connection fan-out exists to forget.
+    fn set_pressure(&mut self, p: Pressure) {
+        self.log.borrow_mut().w(FC, "pressure");
+        self.pressure = p;
+    }
+
+    fn gate_new_flows(&mut self, refuse: bool) {
+        self.log.borrow_mut().w(CONN, "gate");
+        self.gate = refuse;
+    }
+
+    fn conn_buffered(&self, tuple: FourTuple) -> usize {
+        self.conns.get(&tuple).map_or(0, |p| {
+            p.snd_buf.len()
+                + p.rcv_buf.len()
+                + p.ooo.values().map(|d| d.len()).sum::<usize>()
+        })
+    }
+
+    /// Monotone progress counter for slow-drain detection: in-order bytes
+    /// received plus bytes the peer has cumulatively acknowledged.
+    fn conn_progress(&self, tuple: FourTuple) -> u64 {
+        self.conns.get(&tuple).map_or(0, |p| {
+            p.rcv_nxt.wrapping_sub(p.irs) as u64 + p.snd_una.wrapping_sub(p.iss) as u64
+        })
+    }
+
+    fn buffered_bytes(&self) -> usize {
+        self.conns
+            .values()
+            .map(|p| {
+                p.snd_buf.len()
+                    + p.rcv_buf.len()
+                    + p.ooo.values().map(|d| d.len()).sum::<usize>()
+            })
+            .sum()
+    }
+
+    fn stack_pressure_refusals(&self) -> u64 {
+        self.stats.pressure_refusals
+    }
+
+    /// Bytes currently pinned awaiting retransmission (the unacked prefix
+    /// of `snd_buf`, bounded by [`SND_BUF_CAP`] no matter how long the
+    /// path stays partitioned).
+    fn conn_rtx_bytes(&self, tuple: FourTuple) -> usize {
+        self.conns
+            .get(&tuple)
+            .map_or(0, |p| (p.flight_size() as usize).min(p.snd_buf.len()))
+    }
+
+    fn conn_oldest_unacked(&self, tuple: FourTuple, now: Time) -> Option<Dur> {
+        self.conns.get(&tuple).and_then(|p| p.oldest_unacked_age(now))
+    }
+
+    fn expected_seq(&self, tuple: FourTuple) -> Option<u32> {
+        self.conns.get(&tuple).map(|p| p.rcv_nxt)
+    }
+
+    fn conn_cc(&self, tuple: FourTuple) -> Option<slmetrics::CcCounters> {
+        self.conns.get(&tuple).map(|p| p.cc_stats)
+    }
+
+    fn half_open_count(&self) -> usize {
+        self.conns.values().filter(|p| p.state == TcpState::SynRcvd).count()
+    }
+
+    fn attack_counters(&self, _conn: Option<FourTuple>) -> AttackCounters {
+        let s = &self.stats;
+        AttackCounters {
+            challenge_acks: s.challenge_acks,
+            syn_cookies_sent: s.syn_cookies_sent,
+            syn_cookies_validated: s.syn_cookies_validated,
+            half_open_evictions: s.half_open_evictions,
+            bad_frames_rejected: s.bad_segments,
+            overflow_drops: s.ooo_overflow_drops,
+            invalid_seq_drops: s.old_ack_drops,
+            ..AttackCounters::default()
         }
-    }
-
-    fn poll_transmit(&mut self, now: Time) -> Option<Vec<u8>> {
-        if self.outbox.is_empty() {
-            // Give every connection a chance to transmit buffered data.
-            // Sorted so every same-seed run pumps connections in the same
-            // order (HashMap iteration order is not deterministic).
-            let mut tuples: Vec<FourTuple> = self.conns.keys().copied().collect();
-            tuples.sort();
-            for t in tuples {
-                self.output(now, t);
-            }
-        }
-        self.outbox.pop_front()
-    }
-
-    fn poll_deadline(&self, now: Time) -> Option<Time> {
-        self.conns.keys().filter_map(|&t| self.conn_deadline(now, t)).min()
-    }
-
-    fn on_tick(&mut self, now: Time) {
-        self.timers(now);
     }
 }
 

@@ -4,7 +4,7 @@ use crate::pcb::TcpState;
 use crate::stack::{Keepalive, TcpStack};
 use crate::wire::{Endpoint, FourTuple};
 use netsim::{
-    two_party, Dur, FaultProfile, LinkParams, SimNet, StackNode, Time, TransportError,
+    two_party, Dur, FaultProfile, HostStack, LinkParams, SimNet, StackNode, Time, TransportError,
 };
 
 pub const A: u32 = 0x0A000001;
@@ -463,7 +463,8 @@ fn abort_sends_rst_and_peer_resets() {
     let (mut net, nc, ns, conn) = pair(32, LinkParams::delay_only(Dur::from_millis(5)));
     run_for(&mut net, Dur::from_secs(1));
     let sconn = client(&mut net, ns).established()[0];
-    client(&mut net, nc).abort(conn);
+    let now = net.now();
+    client(&mut net, nc).abort(now, conn);
     net.poll_all();
     run_for(&mut net, Dur::from_secs(2));
     assert_eq!(client(&mut net, nc).state(conn), TcpState::Closed);
@@ -554,7 +555,8 @@ fn local_abort_records_reset_on_both_ends() {
     let (mut net, nc, ns, conn) = pair(43, LinkParams::delay_only(Dur::from_millis(5)));
     run_for(&mut net, Dur::from_secs(1));
     let sconn = client(&mut net, ns).established()[0];
-    client(&mut net, nc).abort(conn);
+    let now = net.now();
+    client(&mut net, nc).abort(now, conn);
     net.poll_all();
     run_for(&mut net, Dur::from_secs(2));
     assert_eq!(client(&mut net, nc).conn_error(conn), Some(TransportError::Reset));

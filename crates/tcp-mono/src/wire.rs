@@ -9,40 +9,9 @@
 //! and from exactly these bytes, which is what lets the two stacks
 //! interoperate.
 
+use netsim::FrameMeta;
+pub use netsim::{Endpoint, FourTuple};
 use std::fmt;
-
-/// One end of a connection.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Endpoint {
-    pub addr: u32,
-    pub port: u16,
-}
-
-impl Endpoint {
-    pub fn new(addr: u32, port: u16) -> Endpoint {
-        Endpoint { addr, port }
-    }
-}
-
-impl fmt::Debug for Endpoint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let b = self.addr.to_be_bytes();
-        write!(f, "{}.{}.{}.{}:{}", b[0], b[1], b[2], b[3], self.port)
-    }
-}
-
-/// Connection identifier: the classic 4-tuple, oriented (local, remote).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct FourTuple {
-    pub local: Endpoint,
-    pub remote: Endpoint,
-}
-
-impl fmt::Debug for FourTuple {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:?}<->{:?}", self.local, self.remote)
-    }
-}
 
 pub const FIN: u8 = 0x01;
 pub const SYN: u8 = 0x02;
@@ -60,7 +29,10 @@ pub const MAX_FRAME_BYTES: usize = 8 + 60 + 65535;
 /// option-less TCP header. Exposed so cross-format tooling (the
 /// `slconform` codec-equivalence certificate) can reason about the
 /// format's floor without re-deriving it.
-pub const MIN_SEGMENT_BYTES: usize = 28;
+pub const MIN_SEGMENT_BYTES: usize = NET_HEADER_BYTES + 20;
+
+/// The simulator's network header: source and destination address.
+const NET_HEADER_BYTES: usize = 8;
 
 /// Typed decode failure: every way a frame can be malformed, so hostile
 /// input is *classified*, never panicked on and never silently mis-parsed.
@@ -175,7 +147,7 @@ impl Segment {
         }
         let src_addr = u32::from_be_bytes(bytes[0..4].try_into().unwrap());
         let dst_addr = u32::from_be_bytes(bytes[4..8].try_into().unwrap());
-        let tcp = &bytes[8..];
+        let tcp = &bytes[NET_HEADER_BYTES..];
         if checksum(src_addr, dst_addr, tcp) != 0 {
             return Err(WireError::BadChecksum); // csum incl. its own field is 0
         }
@@ -227,6 +199,24 @@ impl Segment {
             payload: tcp[data_offset..].to_vec(),
         })
     }
+}
+
+/// Read the addressing off an RFC 793 frame without checksumming or
+/// parsing the rest — just enough for a host to demux or a router to
+/// forward. `None` below [`MIN_SEGMENT_BYTES`]. The format has no magic
+/// byte, so a foreign frame of that length reads as some address pair;
+/// the full decode rejects it on the checksum.
+pub fn classify(frame: &[u8]) -> Option<FrameMeta> {
+    if frame.len() < MIN_SEGMENT_BYTES {
+        return None;
+    }
+    let u32_at =
+        |i: usize| u32::from_be_bytes([frame[i], frame[i + 1], frame[i + 2], frame[i + 3]]);
+    let u16_at = |i: usize| u16::from_be_bytes([frame[i], frame[i + 1]]);
+    Some(FrameMeta {
+        src: Endpoint::new(u32_at(0), u16_at(NET_HEADER_BYTES)),
+        dst: Endpoint::new(u32_at(4), u16_at(NET_HEADER_BYTES + 2)),
+    })
 }
 
 impl fmt::Debug for Segment {

@@ -7,7 +7,7 @@
 //! cargo run --release --example congestion_duel
 //! ```
 
-use netsim::{two_party, Dur, FaultProfile, LinkParams, StackNode, Time};
+use netsim::{two_party, Dur, FaultProfile, HostStack, LinkParams, StackNode, Time};
 use sublayering::netsim;
 use sublayering::sublayer_core::{SlConfig, SlTcpStack};
 use sublayering::tcp_mono::wire::Endpoint;

@@ -6,7 +6,7 @@
 //! cargo run --example handshake_trace
 //! ```
 
-use netsim::{Dur, Stack, Time};
+use netsim::{Dur, HostStack, Stack, Time};
 use sublayering::netsim;
 use sublayering::sublayer_core::{Packet, SlConfig, SlTcpStack};
 use sublayering::tcp_mono::wire::Endpoint;

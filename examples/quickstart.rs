@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use netsim::{two_party, Dur, FaultProfile, LinkParams, StackNode, Time};
+use netsim::{two_party, Dur, FaultProfile, HostStack, LinkParams, StackNode, Time};
 use sublayering::netsim;
 use sublayering::sublayer_core::{SlConfig, SlTcpStack};
 use sublayering::tcp_mono::wire::Endpoint;
