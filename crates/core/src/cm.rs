@@ -246,6 +246,11 @@ impl ConnMgmt {
         self.events.drain(..).collect()
     }
 
+    /// The next queued event, drained in place (the stack's pump).
+    pub(crate) fn pop_event(&mut self) -> Option<CmEvent> {
+        self.events.pop_front()
+    }
+
     /// Why the connection died, when it died abnormally.
     pub fn reset_reason(&self) -> Option<TransportError> {
         self.reset_reason

@@ -138,7 +138,7 @@ impl Osr {
         self.log.borrow_mut().w("osr", "app_buf");
         assert!(!self.app_closed, "write after close");
         let n = data.len().min(SND_BUF_CAP.saturating_sub(self.app_buf.len()));
-        self.app_buf.extend(data[..n].iter().copied());
+        self.app_buf.extend(&data[..n]);
         self.stats.bytes_written += n as u64;
         n
     }
@@ -146,7 +146,8 @@ impl Osr {
     /// Drain in-order bytes to the application.
     pub fn read(&mut self) -> Vec<u8> {
         self.log.borrow_mut().r("osr", "app_out");
-        let out: Vec<u8> = self.app_out.drain(..).collect();
+        let n = self.app_out.len();
+        let out = take_front(&mut self.app_out, n);
         self.stats.bytes_read += out.len() as u64;
         if out.len() >= MSS {
             // The window reopened significantly: tell the peer (window
@@ -226,7 +227,7 @@ impl Osr {
             }
             return None;
         }
-        let seg: Vec<u8> = self.app_buf.drain(..n).collect();
+        let seg = take_front(&mut self.app_buf, n);
         self.bytes_in_flight += n as u64;
         self.stats.segments_cut += 1;
         Some(seg)
@@ -410,6 +411,17 @@ impl Osr {
         acc = fp::fold_bytes(fp::fold_bytes(acc, a), b);
         vec![acc]
     }
+}
+
+/// Move the first `n` bytes of a ring buffer into one exact-capacity
+/// `Vec`: at most two `memcpy`s (the ring may wrap), then an O(1) drop of
+/// the drained prefix.
+fn take_front(buf: &mut VecDeque<u8>, n: usize) -> Vec<u8> {
+    let (a, b) = buf.as_slices();
+    let from_a = n.min(a.len());
+    let out = [&a[..from_a], &b[..n - from_a]].concat();
+    buf.drain(..n);
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -701,6 +713,130 @@ mod tests {
         // (the congestion controller owns this wait).
         assert!(o.poll_segment(t(0)).is_none());
         assert_eq!(o.persist_deadline, None);
+    }
+
+    /// Byte `i` of a model stream (aperiodic enough that a misplaced
+    /// copy cannot match).
+    fn byte(i: usize) -> u8 {
+        (i * 7 + i / 251) as u8
+    }
+
+    /// Write the next `n` model bytes; the model keeps what was accepted.
+    fn model_write(o: &mut Osr, sent: &mut Vec<u8>, n: usize) {
+        let data: Vec<u8> = (sent.len()..sent.len() + n).map(byte).collect();
+        let took = o.write(&data);
+        sent.extend_from_slice(&data[..took]);
+    }
+
+    /// Cut one segment, if OSR releases one, and check it against the
+    /// model. Counts cuts that straddle the send ring's wrap point.
+    fn model_cut(
+        o: &mut Osr,
+        sent: &[u8],
+        cut: &mut usize,
+        split: &mut usize,
+    ) -> Result<bool, String> {
+        let front = o.app_buf.as_slices().0.len();
+        let Some(seg) = o.poll_segment(t(0)) else { return Ok(false) };
+        proptest::prop_assert!(!seg.is_empty() && seg.len() <= MSS, "segment of {} B", seg.len());
+        proptest::prop_assert_eq!(&seg[..], &sent[*cut..*cut + seg.len()], "segment at {}", *cut);
+        proptest::prop_assert_eq!(seg.capacity(), seg.len());
+        *split += usize::from(seg.len() > front);
+        *cut += seg.len();
+        Ok(true)
+    }
+
+    /// Read and check against the model's in-order prefix.
+    fn model_read(o: &mut Osr, rx: &[u8], read: &mut usize, contig: usize) -> Result<(), String> {
+        let got = o.read();
+        proptest::prop_assert_eq!(&got[..], &rx[*read..contig], "read at {}", *read);
+        *read = contig;
+        Ok(())
+    }
+
+    proptest::proptest! {
+        /// Random interleavings of `write`, `poll_segment`, acks,
+        /// out-of-order `on_delivered` and `read` against a flat `Vec<u8>`
+        /// model. Both rings start wrapped, so the copies out of them meet
+        /// the two-slice case: the send ring by filling it to capacity and
+        /// refilling past its physical end, the receive ring by setting it
+        /// up directly (`read` always drains it whole, which returns an
+        /// empty ring to a flat layout).
+        #[test]
+        fn prop_ring_copies_match_a_flat_model(
+            ops in proptest::collection::vec((0u8..5, 0usize..2500), 1..150),
+            chunks in proptest::collection::vec(1usize..1200, 1..40),
+        ) {
+            let mut o = osr(1 << 20);
+            let (mut sent, mut cut, mut split) = (Vec::new(), 0, 0);
+            o.app_buf = VecDeque::with_capacity(4 * MSS + MSS / 2);
+            let cap = o.app_buf.capacity();
+            model_write(&mut o, &mut sent, cap);
+            for _ in 0..2 {
+                model_cut(&mut o, &sent, &mut cut, &mut split)?;
+            }
+            model_write(&mut o, &mut sent, MSS);
+            proptest::prop_assert!(!o.app_buf.as_slices().1.is_empty(), "send ring wrapped");
+            while split == 0 && model_cut(&mut o, &sent, &mut cut, &mut split)? {}
+            proptest::prop_assert_eq!(split, 1);
+
+            // Receive side: the app has read the first MSS of a wrapped ring.
+            o.app_out = VecDeque::with_capacity(2 * MSS);
+            let rcap = o.app_out.capacity();
+            let base = rcap + MSS / 2;
+            let rx: Vec<u8> = (0..base + chunks.iter().sum::<usize>()).map(byte).collect();
+            o.app_out.extend(&rx[..rcap]);
+            o.app_out.drain(..MSS);
+            o.app_out.extend(&rx[rcap..base]);
+            o.rcv_next = base as u64;
+            proptest::prop_assert!(!o.app_out.as_slices().1.is_empty(), "receive ring wrapped");
+            let mut read = MSS;
+            model_read(&mut o, &rx, &mut read, base)?;
+
+            let mut starts = vec![base];
+            for c in &chunks {
+                starts.push(starts.last().unwrap() + c);
+            }
+            let mut delivered = vec![false; chunks.len()];
+            let mut pending: Vec<usize> = (0..chunks.len()).collect();
+            let contig = |delivered: &[bool]| {
+                starts[delivered.iter().take_while(|&&d| d).count()]
+            };
+            for (op, arg) in ops {
+                match op {
+                    0 => model_write(&mut o, &mut sent, arg),
+                    1 => {
+                        model_cut(&mut o, &sent, &mut cut, &mut split)?;
+                    }
+                    2 => {
+                        let bytes = (arg as u64).min(o.bytes_in_flight()) as u32;
+                        o.on_signals(t(0), &[CongSignal::Acked { bytes, rtt: None }]);
+                    }
+                    3 if !pending.is_empty() => {
+                        let i = pending.swap_remove(arg % pending.len());
+                        o.on_delivered(starts[i] as u64, rx[starts[i]..starts[i + 1]].to_vec());
+                        delivered[i] = true;
+                    }
+                    _ => model_read(&mut o, &rx, &mut read, contig(&delivered))?,
+                }
+            }
+            // Drain both directions: every byte cut once, in order, and
+            // every byte read once, in order.
+            for i in pending {
+                o.on_delivered(starts[i] as u64, rx[starts[i]..starts[i + 1]].to_vec());
+                delivered[i] = true;
+            }
+            model_read(&mut o, &rx, &mut read, rx.len())?;
+            loop {
+                let bytes = o.bytes_in_flight() as u32;
+                o.on_signals(t(0), &[CongSignal::Acked { bytes, rtt: None }]);
+                if !model_cut(&mut o, &sent, &mut cut, &mut split)? {
+                    break;
+                }
+            }
+            proptest::prop_assert_eq!(cut, sent.len());
+            proptest::prop_assert_eq!(o.stats.reasm_overflow_drops, 0);
+        }
     }
 
     #[test]

@@ -334,7 +334,7 @@ impl SlTcpStack {
         let Some(conn) = self.conns.get_mut(&id) else { return };
 
         // CM events upward.
-        for ev in conn.cm.take_events() {
+        while let Some(ev) = conn.cm.pop_event() {
             match ev {
                 CmEvent::Established { local_isn, peer_isn } => {
                     match conn.rd.as_mut() {
@@ -369,7 +369,7 @@ impl SlTcpStack {
 
         // RD events upward (to OSR and CM).
         if let Some(rd) = conn.rd.as_mut() {
-            for ev in rd.take_events() {
+            while let Some(ev) = rd.pop_event() {
                 match ev {
                     RdEvent::Delivered { offset, data } => {
                         self.crossings.rd_to_osr_segments += 1;
@@ -386,11 +386,8 @@ impl SlTcpStack {
                 }
             }
             // Summarized signals to OSR's rate controller.
-            let signals = rd.take_signals();
-            if !signals.is_empty() {
-                self.crossings.signals_up += signals.len() as u64;
-                conn.osr.on_signals(now, &signals);
-            }
+            let osr = &mut conn.osr;
+            self.crossings.signals_up += rd.drain_signals(|s| osr.on_signals(now, s)) as u64;
         }
 
         // An RD event above may have just aborted CM (RetriesExhausted
@@ -398,7 +395,7 @@ impl SlTcpStack {
         // drain. Drain again now: the abort cleared every timer, so a
         // deferred Reset might otherwise never be processed and the typed
         // error would stay invisible to the application.
-        for ev in conn.cm.take_events() {
+        while let Some(ev) = conn.cm.pop_event() {
             match ev {
                 CmEvent::Reset => {
                     if let Some(reason) = conn.cm.reset_reason() {

@@ -392,8 +392,8 @@ impl TcpStack {
                 }
                 break;
             }
-            let payload: Vec<u8> =
-                pcb.snd_buf.iter().skip(offset).take(n).copied().collect();
+            let mut payload = Vec::with_capacity(n);
+            payload.extend(pcb.snd_buf.range(offset..offset + n));
             let drains = offset + n == pcb.snd_buf.len();
             self.log.borrow_mut().w(RD, "snd_nxt");
             let seg = Segment {
@@ -502,7 +502,8 @@ impl TcpStack {
             return;
         }
         let n = (pcb.snd_buf.len() - offset).min(pcb.mss as usize);
-        let payload: Vec<u8> = pcb.snd_buf.iter().skip(offset).take(n).copied().collect();
+        let mut payload = Vec::with_capacity(n);
+        payload.extend(pcb.snd_buf.range(offset..offset + n));
         let is_fin = n == 0 && pcb.fin_seq == Some(seq_from);
         if n == 0 && !is_fin {
             return;
@@ -1067,7 +1068,7 @@ impl TcpStack {
                         let skip = pcb.rcv_nxt.wrapping_sub(s) as usize;
                         if skip < d.len() {
                             pcb.rcv_nxt = pcb.rcv_nxt.wrapping_add((d.len() - skip) as u32);
-                            pcb.rcv_buf.extend(d.into_iter().skip(skip));
+                            pcb.rcv_buf.extend(&d[skip..]);
                         }
                     }
                 } else {
@@ -1210,7 +1211,7 @@ impl HostStack for TcpStack {
         }
         self.log.borrow_mut().w(RD, "snd_buf");
         let n = data.len().min(SND_BUF_CAP.saturating_sub(pcb.snd_buf.len()));
-        pcb.snd_buf.extend(data[..n].iter().copied());
+        pcb.snd_buf.extend(&data[..n]);
         n
     }
 
@@ -1218,7 +1219,9 @@ impl HostStack for TcpStack {
         let Some(pcb) = self.conns.get_mut(&tuple) else { return Vec::new() };
         self.log.borrow_mut().r(RD, "rcv_buf");
         self.log.borrow_mut().w(FC, "rcv_wnd");
-        let out: Vec<u8> = pcb.rcv_buf.drain(..).collect();
+        let (a, b) = pcb.rcv_buf.as_slices();
+        let out = [a, b].concat();
+        pcb.rcv_buf.clear();
         // The window just opened; let the peer know — unless its FIN
         // already arrived: no more data can come, and the gratuitous
         // update would poke a peer whose TCB may already be deleted.

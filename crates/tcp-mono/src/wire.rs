@@ -285,6 +285,16 @@ mod tests {
     }
 
     #[test]
+    fn encode_reserves_the_exact_frame() {
+        for mss in [None, Some(1400)] {
+            for payload_len in [0, 1, crate::DEFAULT_MSS as usize] {
+                let frame = Segment { mss, payload: vec![7; payload_len], ..sample() }.encode();
+                assert_eq!(frame.capacity(), frame.len(), "mss {mss:?}, {payload_len} B");
+            }
+        }
+    }
+
+    #[test]
     fn round_trip_without_options_or_payload() {
         let s = Segment { mss: None, payload: vec![], flags: ACK, ..sample() };
         assert_eq!(Segment::decode(&s.encode()), Ok(s));
