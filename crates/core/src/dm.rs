@@ -68,7 +68,7 @@ pub struct Demux {
     /// same function the shard router uses — "Demux has no state", so the
     /// bucket placement is a pure function of the tuple).
     table: HashMap<FourTuple, ConnId, FxBuildHasher>,
-    tuples: HashMap<ConnId, FourTuple>,
+    tuples: HashMap<ConnId, FourTuple, FxBuildHasher>,
     next_id: usize,
     next_ephemeral: u16,
     /// Overload accept gate: when set, DM stops admitting new flows while
@@ -85,7 +85,7 @@ impl Demux {
             local_addr,
             listeners: HashSet::new(),
             table: HashMap::with_hasher(FxBuildHasher::with_seed(local_addr as u64)),
-            tuples: HashMap::new(),
+            tuples: HashMap::with_hasher(FxBuildHasher::with_seed(local_addr as u64)),
             next_id: 0,
             next_ephemeral: 49152,
             gated: false,

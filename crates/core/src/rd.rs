@@ -21,7 +21,7 @@
 
 use crate::fingerprint as fp;
 use crate::signals::{CongSignal, SeqValidity};
-use crate::wire::{Packet, SackRange};
+use crate::wire::{Packet, SackList, SackRange};
 use netsim::{Dur, Time};
 use slmetrics::SharedLog;
 use std::collections::{BTreeMap, VecDeque};
@@ -61,6 +61,20 @@ pub struct RdStats {
     pub invalid_seq_drops: u64,
     /// Pure acks deferred by pressure-driven ACK pacing.
     pub acks_paced: u64,
+}
+
+/// What an outbox entry sends. A data segment's bytes stay in
+/// `in_flight` until it is fully acked, so the entry names them by offset
+/// instead of holding a copy.
+#[derive(Clone, Copy)]
+enum Tx {
+    /// The in-flight segment at this offset: a first transmission or a
+    /// retransmission.
+    Data(u64),
+    /// The FIN, at its offset.
+    Fin(u64),
+    /// A keepalive probe: an empty segment at this offset.
+    Probe(u64),
 }
 
 #[derive(Clone)]
@@ -155,8 +169,9 @@ pub struct ReliableDelivery {
     use_sack: bool,
 
     // --- outputs ---
-    /// (offset or None for a pure ack, payload, is_fin)
-    outbox: VecDeque<(Option<u64>, Vec<u8>, bool)>,
+    /// Segments to send, in order; a pure ack is owed through
+    /// `ack_pending` instead.
+    outbox: VecDeque<Tx>,
     signals: VecDeque<CongSignal>,
     events: VecDeque<RdEvent>,
     pub stats: RdStats,
@@ -288,7 +303,7 @@ impl ReliableDelivery {
         let off = self.snd_nxt;
         self.snd_nxt += data.len() as u64;
         self.flight_bytes += data.len();
-        self.outbox.push_back((Some(off), data.clone(), false));
+        self.outbox.push_back(Tx::Data(off));
         self.in_flight.insert(
             off,
             Flight { data, sent_at: now, first_sent: now, retransmitted: false, sacked: false },
@@ -309,7 +324,7 @@ impl ReliableDelivery {
         self.snd_nxt += 1;
         self.fin_off = Some(off);
         self.fin_sent_at = Some(now);
-        self.outbox.push_back((Some(off), Vec::new(), true));
+        self.outbox.push_back(Tx::Fin(off));
         if self.rto_deadline.is_none() {
             self.rto_deadline = Some(now + self.rto);
         }
@@ -353,13 +368,12 @@ impl ReliableDelivery {
             let f = self.in_flight.get_mut(&off).unwrap();
             f.retransmitted = true;
             f.sent_at = now;
-            let data = f.data.clone();
-            self.outbox.push_back((Some(off), data, false));
+            self.outbox.push_back(Tx::Data(off));
             self.stats.retransmits += 1;
         } else if let Some(fin_off) = self.fin_off {
             if !self.fin_acked {
                 self.fin_retransmitted = true;
-                self.outbox.push_back((Some(fin_off), Vec::new(), true));
+                self.outbox.push_back(Tx::Fin(fin_off));
                 self.stats.retransmits += 1;
             }
         }
@@ -457,7 +471,7 @@ impl ReliableDelivery {
                 }
             }
             // SACK: mark covered segments so retransmission skips them.
-            for r in &pkt.rd.sack {
+            for r in pkt.rd.sack.iter() {
                 let start = Self::unwrap(self.snd_isn, r.start, self.snd_una);
                 let end = Self::unwrap(self.snd_isn, r.end, self.snd_una);
                 for (_, f) in self.in_flight.range_mut(start..end) {
@@ -586,16 +600,31 @@ impl ReliableDelivery {
     // --- output ---
 
     /// Next packet to send: data/fin segments, else a pure ack if owed.
-    /// Returns the packet skeleton (RD fields filled) and whether CM must
-    /// stamp the FIN flag.
+    /// Returns the packet (RD fields and payload filled) and whether CM
+    /// must stamp the FIN flag.
     ///
     /// Under ACK pacing, a non-forced pure ack is deferred up to
     /// [`ACK_DELAY`]: the first poll arms the delay, later polls emit it
     /// once `now` reaches the deadline. Acks riding on data/FIN segments
     /// are never deferred, so pacing only thins the bare-ack stream.
     pub fn poll_packet(&mut self, now: Time) -> Option<(Packet, bool)> {
-        let (off, payload, is_fin) = match self.outbox.pop_front() {
-            Some(x) => x,
+        let (mut pkt, is_fin, data) = self.poll_header(now)?;
+        if let Some(off) = data {
+            pkt.payload = self.segment(off).to_vec();
+        }
+        Some((pkt, is_fin))
+    }
+
+    /// [`poll_packet`](Self::poll_packet) without copying the payload:
+    /// the packet with an empty payload, the FIN flag, and the offset of
+    /// the in-flight segment whose bytes ([`segment`](Self::segment)) are
+    /// the payload, if any. The stack encodes those bytes straight from
+    /// the retransmission buffer.
+    pub(crate) fn poll_header(&mut self, now: Time) -> Option<(Packet, bool, Option<u64>)> {
+        let (off, is_fin, data) = match self.outbox.pop_front() {
+            Some(Tx::Data(off)) => (off, false, Some(off)),
+            Some(Tx::Fin(off)) => (off, true, None),
+            Some(Tx::Probe(off)) => (off, false, None),
             None => {
                 if !self.ack_pending {
                     return None;
@@ -612,32 +641,37 @@ impl ReliableDelivery {
                         Some(_) => {}
                     }
                 }
-                (None, Vec::new(), false)
+                self.stats.acks_sent += 1;
+                (self.snd_nxt, false, None)
             }
         };
         self.log.borrow_mut().r("rd", "rcv_ranges");
         let mut pkt = Packet::default();
-        pkt.rd.seq = self.wire_snd(off.unwrap_or(self.snd_nxt));
+        pkt.rd.seq = self.wire_snd(off);
         pkt.rd.has_ack = true;
         pkt.rd.ack = self.wire_rcv_ack();
         // Up to two SACK ranges from the out-of-order set.
-        pkt.rd.sack = self
-            .ooo
-            .iter()
-            .take(if self.use_sack { 2 } else { 0 })
-            .map(|(&s, &e)| SackRange {
-                start: self.rcv_isn.wrapping_add(1).wrapping_add(s as u32),
-                end: self.rcv_isn.wrapping_add(1).wrapping_add(e as u32),
-            })
-            .collect();
-        pkt.payload = payload;
+        if self.use_sack {
+            pkt.rd.sack = self
+                .ooo
+                .iter()
+                .take(SackList::CAP)
+                .map(|(&s, &e)| SackRange {
+                    start: self.rcv_isn.wrapping_add(1).wrapping_add(s as u32),
+                    end: self.rcv_isn.wrapping_add(1).wrapping_add(e as u32),
+                })
+                .collect();
+        }
         self.ack_pending = false;
         self.ack_forced = false;
         self.delayed_ack_deadline = None;
-        if pkt.payload.is_empty() && !is_fin && off.is_none() {
-            self.stats.acks_sent += 1;
-        }
-        Some((pkt, is_fin))
+        Some((pkt, is_fin, data))
+    }
+
+    /// The bytes of the in-flight segment at `off`; empty once it has
+    /// been acked.
+    pub(crate) fn segment(&self, off: u64) -> &[u8] {
+        self.in_flight.get(&off).map_or(&[], |f| &f.data)
     }
 
     /// Stamp ack fields on a packet originated elsewhere (CM handshake
@@ -688,7 +722,7 @@ impl ReliableDelivery {
         if self.snd_nxt == 0 {
             return false;
         }
-        self.outbox.push_back((Some(self.snd_nxt - 1), Vec::new(), false));
+        self.outbox.push_back(Tx::Probe(self.snd_nxt - 1));
         self.stats.keepalive_probes += 1;
         true
     }
@@ -823,10 +857,15 @@ impl ReliableDelivery {
         for (&s, &e) in &self.ooo {
             acc = fp::fold(acc, [s, e]);
         }
-        for (off, payload, is_fin) in &self.outbox {
-            acc = fp::mix(acc, off.map_or(u64::MAX, |o| o));
+        for &tx in &self.outbox {
+            let (off, payload, is_fin) = match tx {
+                Tx::Data(off) => (off, self.segment(off), false),
+                Tx::Fin(off) => (off, &[][..], true),
+                Tx::Probe(off) => (off, &[][..], false),
+            };
+            acc = fp::mix(acc, off);
             acc = fp::fold_bytes(acc, payload);
-            acc = fp::mix(acc, *is_fin as u64);
+            acc = fp::mix(acc, is_fin as u64);
         }
         acc = fp::fold_bytes(acc, format!("{:?}", self.signals).as_bytes());
         acc = fp::fold_bytes(acc, format!("{:?}", self.events).as_bytes());
@@ -1108,7 +1147,7 @@ mod tests {
         // Peer SACKs the *first* segment but cumulative ack stays 0
         // (contrived, but exercises the skip logic).
         let mut p = peer_data(0, &[], Some(0));
-        p.rd.sack = vec![SackRange { start: 1001, end: 1001 + 100 }];
+        p.rd.sack = [SackRange { start: 1001, end: 1001 + 100 }].into_iter().collect();
         for _ in 0..3 {
             r.on_packet(t(10), &p.clone(), false);
         }

@@ -22,6 +22,7 @@ use crate::wire::Packet;
 use netsim::{Dur, FrameMeta, HostStack, Stack, Time, TransportError};
 use slmetrics::{AttackCounters, Pressure, SharedLog};
 use std::collections::{HashMap, VecDeque};
+use tcp_mono::hash::FxBuildHasher;
 use tcp_mono::wire::{Endpoint, FourTuple};
 use tcp_mono::Keepalive;
 
@@ -143,7 +144,10 @@ const HALF_OPEN_EVICT_AGE: Dur = Dur(1_000_000_000);
 /// A sublayered TCP endpoint (host).
 pub struct SlTcpStack {
     dm: Demux,
-    conns: HashMap<ConnId, Connection>,
+    /// Keyed by the shared seeded fx hash (`tcp_mono::hash`), as the
+    /// monolith's table is; nothing iterates it in hash order into an
+    /// output (ids are sorted first, or a minimum is taken).
+    conns: HashMap<ConnId, Connection, FxBuildHasher>,
     isn_gen: Box<dyn IsnGenerator>,
     config: SlConfig,
     /// The configured rate controller, validated once at construction and
@@ -153,8 +157,10 @@ pub struct SlTcpStack {
     /// Terminal failures, surviving connection removal so the application
     /// can learn *why* a connection died (graceful degradation: an abort
     /// is always reported, never a silent hang).
-    errors: HashMap<ConnId, TransportError>,
+    errors: HashMap<ConnId, TransportError, FxBuildHasher>,
     outbox: VecDeque<Vec<u8>>,
+    /// The receive packet every inbound frame is decoded into.
+    rx: Packet,
     /// Host memory pressure, fanned out to each sublayer's slice of the
     /// backpressure contract (OSR window clamp, RD ack pacing, DM accept
     /// gate) — one explicit signal down the sublayer column, no shared
@@ -183,12 +189,13 @@ impl SlTcpStack {
         let cc_template = cc::make(config.cc)?;
         Ok(SlTcpStack {
             dm: Demux::new(addr, log.clone()),
-            conns: HashMap::new(),
+            conns: HashMap::with_hasher(FxBuildHasher::with_seed(addr as u64)),
             isn_gen: isn::make(config.isn),
             config,
             cc_template,
-            errors: HashMap::new(),
+            errors: HashMap::with_hasher(FxBuildHasher::with_seed(addr as u64)),
             outbox: VecDeque::new(),
+            rx: Packet::default(),
             pressure: Pressure::Nominal,
             gate: false,
             stats: SlStats::default(),
@@ -462,32 +469,34 @@ impl SlTcpStack {
 
         // Packet assembly: CM-originated packets first (handshake), then
         // RD's data/ack packets. Each sublayer stamps only its own bits.
+        // An RD packet names the in-flight segment it carries, encoded
+        // straight from RD's retransmission buffer; a CM packet carries
+        // none.
         loop {
-            let assembled = if let Some(mut pkt) = conn.cm.poll_packet() {
+            let (mut pkt, segment) = if let Some(mut pkt) = conn.cm.poll_packet() {
                 if let Some(rd) = conn.rd.as_mut() {
                     rd.fill_tx(&mut pkt);
                 }
                 conn.osr.fill_tx(&mut pkt);
                 conn.cm.fill_tx(&mut pkt);
-                Some(pkt)
-            } else if let Some(rd) = conn.rd.as_mut() {
-                match rd.poll_packet(now) {
-                    Some((mut pkt, is_fin)) => {
-                        if is_fin {
-                            conn.cm.stamp_fin(&mut pkt);
-                        }
-                        conn.osr.fill_tx(&mut pkt);
-                        conn.cm.fill_tx(&mut pkt);
-                        Some(pkt)
-                    }
-                    None => None,
+                (pkt, None)
+            } else if let Some((mut pkt, is_fin, segment)) =
+                conn.rd.as_mut().and_then(|rd| rd.poll_header(now))
+            {
+                if is_fin {
+                    conn.cm.stamp_fin(&mut pkt);
                 }
+                conn.osr.fill_tx(&mut pkt);
+                conn.cm.fill_tx(&mut pkt);
+                (pkt, segment)
             } else {
-                None
+                break;
             };
-            let Some(mut pkt) = assembled else { break };
             self.dm.fill_tx(id, &mut pkt);
-            let bytes = pkt.encode();
+            let payload = segment
+                .and_then(|off| conn.rd.as_ref().map(|rd| rd.segment(off)))
+                .unwrap_or_default();
+            let bytes = pkt.encode_with_payload(payload);
             self.crossings.packets_tx += 1;
             self.crossings.wire_bytes_tx += bytes.len() as u64;
             self.stats.packets_sent += 1;
@@ -536,19 +545,14 @@ impl SlTcpStack {
         }
         self.pump(now, id);
     }
-}
 
-impl Stack for SlTcpStack {
-    fn on_frame(&mut self, now: Time, frame: &[u8]) {
-        let Ok(pkt) = Packet::decode(frame) else {
-            self.stats.bad_packets += 1;
-            return;
-        };
+    /// Everything [`Stack::on_frame`] does with a packet that decoded.
+    fn on_packet(&mut self, now: Time, frame_len: usize, pkt: &Packet) {
         self.stats.packets_received += 1;
         self.crossings.packets_rx += 1;
-        self.crossings.wire_bytes_rx += frame.len() as u64;
-        match self.dm.classify(&pkt) {
-            DmVerdict::Known(id) => self.handle_packet(now, id, &pkt),
+        self.crossings.wire_bytes_rx += frame_len as u64;
+        match self.dm.classify(pkt) {
+            DmVerdict::Known(id) => self.handle_packet(now, id, pkt),
             DmVerdict::NewFlow(tuple) => {
                 // Admission control first: a full connection table refuses
                 // every new flow — cookie rebuilds included — with a typed
@@ -556,7 +560,7 @@ impl Stack for SlTcpStack {
                 // silent discard.
                 if self.conns.len() >= self.config.max_conns {
                     self.stats.conn_table_full_drops += 1;
-                    self.send_stateless_rst(&pkt);
+                    self.send_stateless_rst(pkt);
                     return;
                 }
                 let three_way = matches!(self.config.cm_scheme, CmScheme::ThreeWay);
@@ -583,9 +587,9 @@ impl Stack for SlTcpStack {
                     self.stats.syn_cookies_validated += 1;
                     self.pump(now, id); // establishment event creates RD
                     if let Some(conn) = self.conns.get_mut(&id) {
-                        conn.osr.on_header(now, &pkt);
+                        conn.osr.on_header(now, pkt);
                         if let Some(rd) = conn.rd.as_mut() {
-                            rd.on_packet(now, &pkt, pkt.cm.flags.fin);
+                            rd.on_packet(now, pkt, pkt.cm.flags.fin);
                         }
                     }
                     self.pump(now, id);
@@ -625,7 +629,7 @@ impl Stack for SlTcpStack {
                 ) else {
                     self.dm.unbind(id);
                     self.stats.no_listener_drops += 1;
-                    self.send_stateless_rst(&pkt);
+                    self.send_stateless_rst(pkt);
                     return;
                 };
                 let mut osr = Osr::new(self.cc_template.clone(), self.log.clone());
@@ -636,9 +640,9 @@ impl Stack for SlTcpStack {
                 // packet).
                 self.pump(now, id);
                 if let Some(conn) = self.conns.get_mut(&id) {
-                    conn.osr.on_header(now, &pkt);
+                    conn.osr.on_header(now, pkt);
                     if let Some(rd) = conn.rd.as_mut() {
-                        rd.on_packet(now, &pkt, pkt.cm.flags.fin);
+                        rd.on_packet(now, pkt, pkt.cm.flags.fin);
                     }
                 }
                 self.pump(now, id);
@@ -649,14 +653,27 @@ impl Stack for SlTcpStack {
                 // no connection state is created, so a flood cannot grow
                 // memory while the host digs itself out.
                 self.stats.pressure_refusals += 1;
-                self.send_stateless_rst(&pkt);
+                self.send_stateless_rst(pkt);
             }
             DmVerdict::NoListener => {
                 self.stats.no_listener_drops += 1;
-                self.send_stateless_rst(&pkt);
+                self.send_stateless_rst(pkt);
             }
             DmVerdict::NotForUs => {}
         }
+    }
+}
+
+impl Stack for SlTcpStack {
+    fn on_frame(&mut self, now: Time, frame: &[u8]) {
+        // Decode into the stack's one receive packet, reusing its payload
+        // buffer, and put it back afterwards.
+        let mut pkt = std::mem::take(&mut self.rx);
+        match pkt.decode_from(frame) {
+            Ok(()) => self.on_packet(now, frame.len(), &pkt),
+            Err(_) => self.stats.bad_packets += 1,
+        }
+        self.rx = pkt;
     }
 
     fn poll_transmit(&mut self, now: Time) -> Option<Vec<u8>> {

@@ -802,3 +802,104 @@ fn full_table_refuses_inbound_syn_with_rst() {
     assert_eq!(server.stats.conn_table_full_drops, 1);
     assert_eq!(server.stats.stateless_rsts_sent, rsts_before + 1, "refusal is a RST, not silence");
 }
+
+// ---------------------------------------------------------------------------
+// Wire consistency: what each frame carries, checked against the source.
+// ---------------------------------------------------------------------------
+
+/// Check every frame `from` emits at `now` and queue the ones the seeded
+/// drop spares on `lane`. A data frame must carry exactly `src` at its
+/// sequence offset (the ISN is on every packet, in CM's subheader); a
+/// SYN, RST or FIN frame must carry nothing. Returns the offsets of the
+/// data frames seen.
+fn check_frames(
+    from: &mut SlTcpStack,
+    now: Time,
+    src: &[u8],
+    rng: &mut netsim::DetRng,
+    lane: &mut std::collections::VecDeque<(Time, Vec<u8>)>,
+) -> Vec<usize> {
+    let mut offsets = Vec::new();
+    while let Some(frame) = from.poll_transmit(now) {
+        let pkt = Packet::decode(&frame).expect("a stack emits only valid frames");
+        let f = pkt.cm.flags;
+        if f.syn || f.rst || f.fin {
+            assert!(pkt.payload.is_empty(), "{} carries a payload", pkt.describe());
+        } else if !pkt.payload.is_empty() {
+            let off = pkt.rd.seq.wrapping_sub(pkt.cm.isn).wrapping_sub(1) as usize;
+            let want = src.get(off..off + pkt.payload.len());
+            assert_eq!(Some(&pkt.payload[..]), want, "bytes at offset {off}");
+            offsets.push(off);
+        }
+        if !rng.chance(0.02) {
+            lane.push_back((now + Dur::from_millis(2), frame));
+        }
+    }
+    offsets
+}
+
+#[test]
+fn every_frame_carries_the_source_bytes_at_its_offset() {
+    // The last KiB of `up` is written only just before the abort.
+    const STREAM: usize = 200_000;
+    let up: Vec<u8> = (0..STREAM as u32 + 1024).map(|i| (i * 7 + i / 251) as u8).collect();
+    let down: Vec<u8> = (0..50_000u32).map(|i| (i * 13 + i / 241) as u8).collect();
+    let mut a = SlTcpStack::new(A, SlConfig::default(), slmetrics::muted());
+    let mut b = SlTcpStack::new(B, SlConfig::default(), slmetrics::muted());
+    b.listen(80);
+    let mut now = Time(1_000_000);
+    let ca = a.connect(now, 5000, Endpoint::new(B, 80));
+    let mut cb = None;
+    let mut rng = netsim::DetRng::new(0xC0DE);
+    let mut lanes = [std::collections::VecDeque::new(), std::collections::VecDeque::new()];
+    let (mut sent, mut got) = ([0, 0], [Vec::new(), Vec::new()]);
+    let (mut data_frames, mut resent) = (0, 0);
+    let mut seen = [std::collections::HashSet::new(), std::collections::HashSet::new()];
+    let mut aborted = false;
+    loop {
+        if let Some(cb) = cb {
+            sent[0] += a.send(ca, &up[sent[0]..STREAM]);
+            sent[1] += b.send(cb, &down[sent[1]..]);
+            got[0].extend(b.recv(cb));
+            got[1].extend(a.recv(ca));
+            if !aborted && got[0].len() == STREAM && got[1].len() == down.len() {
+                // Abort with data in flight: the RST CM sends must not
+                // pick any of it up.
+                assert_eq!(a.send(ca, &up[STREAM..]), up.len() - STREAM);
+                check_frames(&mut a, now, &up, &mut rng, &mut lanes[0]);
+                assert!(a.conn_buffered(ca) > 0, "data in flight at the abort");
+                a.abort(now, ca);
+                aborted = true;
+            }
+        }
+        for (dir, (st, src)) in [(&mut a, &up), (&mut b, &down)].into_iter().enumerate() {
+            for off in check_frames(st, now, src, &mut rng, &mut lanes[dir]) {
+                data_frames += 1;
+                resent += usize::from(!seen[dir].insert(off));
+            }
+        }
+        let next = [
+            lanes[0].front().map(|f| f.0),
+            lanes[1].front().map(|f| f.0),
+            a.poll_deadline(now),
+            b.poll_deadline(now),
+        ];
+        let Some(next) = next.into_iter().flatten().min() else { break };
+        now = now.max(next);
+        assert!(now < Time::ZERO + Dur::from_secs(600), "transfer stalled");
+        for (dir, st) in [(0, &mut b), (1, &mut a)] {
+            while lanes[dir].front().is_some_and(|f| f.0 <= now) {
+                let (_, f) = lanes[dir].pop_front().unwrap();
+                st.on_frame(now, &f);
+            }
+            if st.poll_deadline(now).is_some_and(|d| d <= now) {
+                st.on_tick(now);
+            }
+        }
+        cb = cb.or_else(|| b.established().first().copied());
+    }
+    assert!(got[0].len() >= STREAM && got[0][..] == up[..got[0].len()]);
+    assert_eq!(got[1], down);
+    assert!(aborted && b.conn_count() == 0, "the RST reached the peer");
+    assert!(resent >= 5, "{resent} retransmissions of {data_frames} data frames");
+}

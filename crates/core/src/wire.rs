@@ -52,10 +52,65 @@ pub struct CmHeader {
 }
 
 /// One SACK range `[start, end)` in absolute sequence numbers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct SackRange {
     pub start: u32,
     pub end: u32,
+}
+
+/// At most [`SackList::CAP`] SACK ranges: the most the header's 2-bit
+/// count carries, so a longer list cannot be built, let alone encoded.
+/// Held inline, so a SACK-carrying ack allocates nothing for it. Reads as
+/// a slice of its ranges.
+#[derive(Clone, Copy, Default)]
+pub struct SackList {
+    ranges: [SackRange; SackList::CAP],
+    len: u8,
+}
+
+impl SackList {
+    pub const CAP: usize = 2;
+
+    /// Append a range. Panics when the list already holds
+    /// [`SackList::CAP`] ranges.
+    pub fn push(&mut self, r: SackRange) {
+        assert!(self.len() < Self::CAP, "a SACK list holds at most {} ranges", Self::CAP);
+        self.ranges[self.len()] = r;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for SackList {
+    type Target = [SackRange];
+
+    fn deref(&self) -> &[SackRange] {
+        &self.ranges[..self.len as usize]
+    }
+}
+
+impl PartialEq for SackList {
+    fn eq(&self, other: &SackList) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for SackList {}
+
+impl std::fmt::Debug for SackList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Collects with [`SackList::push`], so a third range panics.
+impl FromIterator<SackRange> for SackList {
+    fn from_iter<I: IntoIterator<Item = SackRange>>(iter: I) -> SackList {
+        let mut list = SackList::default();
+        for r in iter {
+            list.push(r);
+        }
+        list
+    }
 }
 
 /// Reliable-delivery subheader: sequence/ack numbers and SACK — all
@@ -70,7 +125,7 @@ pub struct RdHeader {
     pub has_ack: bool,
     /// Up to two selective-ack ranges (RD-private, invisible to other
     /// sublayers; dropped by the shim since bare RFC 793 has no SACK).
-    pub sack: Vec<SackRange>,
+    pub sack: SackList,
 }
 
 /// OSR subheader: congestion/flow-control signals available to OSR via its
@@ -136,11 +191,16 @@ impl Packet {
     }
 
     pub fn encode(&self) -> Vec<u8> {
-        // The header's 2-bit count carries at most two SACK ranges; clamp
-        // rather than let a longer vector silently alias the count bits in
-        // release builds.
-        let n_sack = self.rd.sack.len().min(2);
-        let mut out = Vec::with_capacity(Self::header_len(n_sack) + self.payload.len());
+        self.encode_with_payload(&self.payload)
+    }
+
+    /// Encode the header fields with `payload` in place of
+    /// `self.payload`, in one pass into one exact-size frame: the stack
+    /// sends a segment straight from RD's retransmission buffer this way,
+    /// without first copying it into the packet.
+    pub(crate) fn encode_with_payload(&self, payload: &[u8]) -> Vec<u8> {
+        let n_sack = self.rd.sack.len();
+        let mut out = Vec::with_capacity(Self::header_len(n_sack) + payload.len());
         out.push(MAGIC);
         out.extend_from_slice(&self.src_addr.to_be_bytes());
         out.extend_from_slice(&self.dst_addr.to_be_bytes());
@@ -159,7 +219,7 @@ impl Packet {
         out.extend_from_slice(&self.rd.seq.to_be_bytes());
         out.extend_from_slice(&self.rd.ack.to_be_bytes());
         out.push((self.rd.has_ack as u8) | (n_sack as u8) << 1);
-        for r in self.rd.sack.iter().take(n_sack) {
+        for r in self.rd.sack.iter() {
             out.extend_from_slice(&r.start.to_be_bytes());
             out.extend_from_slice(&r.end.to_be_bytes());
         }
@@ -167,16 +227,26 @@ impl Packet {
         out.push(self.osr.ecn_echo as u8);
         out.extend_from_slice(&self.osr.rcv_wnd.to_be_bytes());
         // payload, checksummed for parity with the monolithic stack
-        out.extend_from_slice(&self.payload);
+        out.extend_from_slice(payload);
         let csum = tcp_mono::wire::checksum(self.src_addr, self.dst_addr, &out[BODY_AT..]);
         out[9..BODY_AT].copy_from_slice(&csum.to_be_bytes());
         out
     }
 
-    /// Parse and verify; a typed [`WireError`] for anything malformed.
-    /// Arbitrary hostile bytes must classify — never panic, never
-    /// mis-parse into a structurally valid packet.
+    /// Parse and verify into a fresh packet; a typed [`WireError`] for
+    /// anything malformed. Arbitrary hostile bytes must classify — never
+    /// panic, never mis-parse into a structurally valid packet.
     pub fn decode(bytes: &[u8]) -> Result<Packet, WireError> {
+        let mut pkt = Packet::default();
+        pkt.decode_from(bytes)?;
+        Ok(pkt)
+    }
+
+    /// The one parser: [`Packet::decode`] into `self`, overwriting every
+    /// field and reusing the payload buffer, so a receiver that keeps one
+    /// packet allocates nothing per frame once the buffer has grown to
+    /// the largest payload. On error `self` is left unchanged.
+    pub fn decode_from(&mut self, bytes: &[u8]) -> Result<(), WireError> {
         if bytes.first() != Some(&MAGIC) {
             return Err(WireError::BadMagic);
         }
@@ -222,14 +292,14 @@ impl Packet {
         i += 1;
         let has_ack = rdb & 1 != 0;
         let n_sack = ((rdb >> 1) & 0x3) as usize;
-        if n_sack > 2 {
+        if n_sack > SackList::CAP {
             return Err(WireError::BadSackCount);
         }
         if b.len() < i + n_sack * 8 + 3 {
             let need = BODY_AT + i + n_sack * 8 + 3;
             return Err(WireError::Truncated { need, got: bytes.len() });
         }
-        let mut sack = Vec::with_capacity(n_sack);
+        let mut sack = SackList::default();
         for _ in 0..n_sack {
             let start = u32_at(&mut i);
             let end = u32_at(&mut i);
@@ -239,15 +309,15 @@ impl Packet {
         i += 1;
         let rcv_wnd = u16::from_be_bytes([b[i], b[i + 1]]);
         i += 2;
-        Ok(Packet {
-            src_addr,
-            dst_addr,
-            dm: DmHeader { src_port, dst_port },
-            cm: CmHeader { flags, isn, ack_isn },
-            rd: RdHeader { seq, ack, has_ack, sack },
-            osr: OsrHeader { ecn_echo, rcv_wnd },
-            payload: b[i..].to_vec(),
-        })
+        self.src_addr = src_addr;
+        self.dst_addr = dst_addr;
+        self.dm = DmHeader { src_port, dst_port };
+        self.cm = CmHeader { flags, isn, ack_isn };
+        self.rd = RdHeader { seq, ack, has_ack, sack };
+        self.osr = OsrHeader { ecn_echo, rcv_wnd };
+        self.payload.clear();
+        self.payload.extend_from_slice(&b[i..]);
+        Ok(())
     }
 
     /// Render the packet as one line per sublayer — the paper's pedagogy
@@ -316,7 +386,7 @@ mod tests {
                 seq: 100,
                 ack: 200,
                 has_ack: true,
-                sack: vec![SackRange { start: 300, end: 400 }],
+                sack: [SackRange { start: 300, end: 400 }].into_iter().collect(),
             },
             osr: OsrHeader { ecn_echo: true, rcv_wnd: 9000 },
             payload: b"native".to_vec(),
@@ -348,14 +418,47 @@ mod tests {
     }
 
     #[test]
-    fn encode_clamps_excess_sack_ranges() {
-        // The 2-bit on-wire count cannot carry more than two ranges; a
-        // third must be dropped at encode, not allowed to alias the count.
+    #[should_panic(expected = "at most 2 ranges")]
+    fn sack_list_holds_at_most_two_ranges() {
+        // The 2-bit on-wire count cannot carry a third range, so the type
+        // cannot hold one either.
         let mut p = sample();
         p.rd.sack.push(SackRange { start: 500, end: 600 });
         p.rd.sack.push(SackRange { start: 700, end: 800 });
-        let got = Packet::decode(&p.encode()).expect("still decodes");
-        assert_eq!(got.rd.sack, p.rd.sack[..2].to_vec());
+    }
+
+    #[test]
+    fn sack_count_of_three_is_rejected() {
+        let mut bytes = sample().encode();
+        let rdb_at = 11 + 21; // body offset of the RD count byte
+        bytes[rdb_at] |= 3 << 1;
+        let src = u32::from_be_bytes(bytes[1..5].try_into().unwrap());
+        let dst = u32::from_be_bytes(bytes[5..9].try_into().unwrap());
+        let csum = tcp_mono::wire::checksum(src, dst, &bytes[11..]);
+        bytes[9..11].copy_from_slice(&csum.to_be_bytes());
+        assert_eq!(Packet::decode(&bytes), Err(WireError::BadSackCount));
+    }
+
+    #[test]
+    fn decode_from_overwrites_every_field_and_reuses_the_buffer() {
+        let mut two_sack = sample();
+        two_sack.rd.sack.push(SackRange { start: 500, end: 600 });
+        two_sack.payload = vec![9; 1000];
+        let mut rx = Packet::default();
+        rx.decode_from(&two_sack.encode()).expect("valid");
+        assert_eq!(rx, two_sack);
+        let buf = rx.payload.as_ptr();
+        for p in [sample(), Packet { src_addr: 7, dst_addr: 8, ..Default::default() }] {
+            rx.decode_from(&p.encode()).expect("valid");
+            assert_eq!(rx, p);
+            assert_eq!(rx.payload.as_ptr(), buf, "payload buffer reused");
+        }
+        // A frame that fails to parse leaves the packet as it was.
+        let before = rx.clone();
+        let mut bad = sample().encode();
+        bad[20] ^= 1;
+        assert_eq!(rx.decode_from(&bad), Err(WireError::BadChecksum));
+        assert_eq!(rx, before);
     }
 
     #[test]

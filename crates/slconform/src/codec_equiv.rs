@@ -30,7 +30,7 @@
 
 use crate::wire::{RawSeg, Wire};
 use slverify::Model;
-use sublayer_core::wire::{CmFlags, CmHeader, DmHeader, OsrHeader, Packet, RdHeader};
+use sublayer_core::wire::{CmFlags, CmHeader, DmHeader, OsrHeader, Packet, RdHeader, SackList};
 use tcp_mono::wire::{Endpoint, Segment, ACK, FIN, MIN_SEGMENT_BYTES, RST, SYN};
 
 /// Sequence-number alphabet: zero and both wrap edges.
@@ -135,7 +135,7 @@ impl AbsWord {
                 seq: self.seq(),
                 ack: self.ack_no(),
                 has_ack: self.ack,
-                sack: Vec::new(),
+                sack: SackList::default(),
             },
             osr: OsrHeader { ecn_echo: false, rcv_wnd: self.wnd() },
             payload: self.payload(),
